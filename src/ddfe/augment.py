@@ -35,7 +35,7 @@ class AugmentConfig:
 def nearest_beam(cloud: np.ndarray, config: SensorConfig) -> np.ndarray:
     """Index (0-based) of the vertical beam nearest each point's elevation.
 
-    Raw scans carry no beam ids, so membership is reconstructed from the
+    Raw scans carry no beam ids, so each point's beam is recovered from the
     inclination grid.
     """
     _, elevation_deg = beam_inclinations(config)

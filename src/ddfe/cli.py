@@ -9,6 +9,7 @@ report-density-match, report-feature-similarity.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import os
 import sys
@@ -44,21 +45,6 @@ class DataError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
-
-
-def worker_count() -> int:
-    """Worker cap from DDFE_THREADS (the pipeline itself is single-threaded,
-    so any positive cap is honored trivially)."""
-    raw = os.environ.get("DDFE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise UsageError(f"DDFE_THREADS must be a positive integer, got {raw!r}")
-    if count < 1:
-        raise UsageError(f"DDFE_THREADS must be a positive integer, got {raw!r}")
-    return count
 
 
 def _sensor(spec: str) -> SensorConfig:
@@ -157,9 +143,11 @@ def _cmd_train(args) -> None:
         "epochs": args.epochs, "batch_size": args.batch, "voxel_size": args.voxel,
         "seed": args.seed, "num_classes": args.classes,
     }
-    for name, value in overrides.items():
-        if value is not None:
-            setattr(hyper, name, value)
+    try:
+        hyper = dataclasses.replace(
+            hyper, **{name: v for name, v in overrides.items() if v is not None})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     dataset = _load_dataset(args.data)
     model = train(
         dataset, config, hyper,
@@ -331,7 +319,6 @@ def build_parser() -> _Parser:
 def run(argv) -> int:
     parser = build_parser()
     try:
-        worker_count()
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError("missing subcommand (try --help)")

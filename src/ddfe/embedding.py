@@ -17,6 +17,7 @@ import numpy as np
 
 from . import nn
 from .beams import BeamProfile, beam_profile, density_for_cloud
+from .io import parse_key_values
 from .sensors import ProjectionParams, SensorConfig, spherical_of_cloud
 from .stats import ClipParams, DensityReservoir, fit_clip, soft_clip
 from .voxels import VoxelGrid, majority_label, voxel_offsets, voxelize
@@ -148,12 +149,9 @@ def clipped_density(scene: EncodedScene, clip: ClipParams | None,
     return scene.density_raw
 
 
-def encode_voxel_features(grid_or_feats, params: EmbeddingParams) -> nn.Tensor:
-    """Voxel-wise features from the voxel centers' spherical coordinates."""
-    if isinstance(grid_or_feats, VoxelGrid):
-        feats = _center_features(grid_or_feats.centers)
-    else:
-        feats = np.asarray(grid_or_feats, dtype=np.float64)
+def encode_voxel_features(center_feats: np.ndarray, params: EmbeddingParams) -> nn.Tensor:
+    """Voxel-wise features from the (M, 4) center features of encode_scene."""
+    feats = np.asarray(center_feats, dtype=np.float64)
     return params._mlp2(nn.Tensor(feats), "voxel_mlp")
 
 
@@ -240,35 +238,26 @@ class TrainConfig:
     seed: int = 0
     num_classes: int = 4
 
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        fields: dict[str, str] = {}
         with open(path, "r", encoding="ascii") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-                key, value = (part.strip() for part in line.split("=", 1))
-                fields[key] = value
-        known = {
-            "epochs": int, "batch_size": int, "base_lr": float,
-            "lr_decay": float, "voxel_size": float, "seed": int,
-            "num_classes": int,
-        }
-        kwargs = {}
-        for key, value in fields.items():
-            if key not in known:
-                raise ValueError(f"unknown training config key {key!r}")
-            kwargs[key] = known[key](value)
-        return cls(**kwargs)
+            return cls(**parse_key_values(fh.read(), _TRAIN_CONFIG_TYPES))
 
     def to_file(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
-            for key in ("epochs", "batch_size", "base_lr", "lr_decay",
-                        "voxel_size", "seed", "num_classes"):
+            for key in _TRAIN_CONFIG_TYPES:
                 fh.write(f"{key} = {getattr(self, key)}\n")
+
+
+_TRAIN_CONFIG_TYPES = {
+    "epochs": int, "batch_size": int, "base_lr": float, "lr_decay": float,
+    "voxel_size": float, "seed": int, "num_classes": int,
+}
 
 
 def inverse_frequency_weights(labels: np.ndarray, num_classes: int) -> np.ndarray:

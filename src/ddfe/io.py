@@ -105,6 +105,37 @@ def read_density_csv(path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64).reshape(-1, 4)
 
 
+# --- key = value configs --------------------------------------------------
+#
+# Line-based ASCII shared by sensor and training config files: `#` starts a
+# comment, blank lines are skipped, keys may appear in any order, at most once.
+
+
+def parse_key_values(text: str, types: dict) -> dict:
+    """Parse `key = value` lines into {key: types[key](value)}.
+
+    Lines without `=`, keys outside `types`, repeated keys and values the
+    type rejects all raise ValueError naming the line.
+    """
+    fields = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in types:
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in fields:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        try:
+            fields[key] = types[key](value)
+        except ValueError:
+            raise ValueError(f"line {lineno}: invalid value {value!r} for {key!r}") from None
+    return fields
+
+
 # --- checkpoints ----------------------------------------------------------
 #
 # ASCII header followed by raw little-endian float64 in header order:
@@ -136,6 +167,12 @@ def save_checkpoint(tensors: dict[str, np.ndarray], path) -> None:
         fh.write(b"".join(payload))
 
 
+def _header_int(text: str, what: str) -> int:
+    if not text.isdigit():
+        raise ValueError(f"{what} must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -146,7 +183,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     magic = raw[:first_end].decode("ascii", errors="replace").split()
     if len(magic) != 2 or magic[0] != _CHECKPOINT_MAGIC:
         raise ValueError(f"not a checkpoint file: first line {raw[:first_end]!r}")
-    count = int(magic[1])
+    count = _header_int(magic[1], "checkpoint header: tensor count")
     offset = first_end + 1
     entries = []
     for i in range(count):
@@ -157,7 +194,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         fields = raw[offset:line_end].decode("ascii").split()
         if not fields:
             raise ValueError(f"empty header line for tensor {i}")
-        entries.append((fields[0], tuple(int(d) for d in fields[1:])))
+        name = fields[0]
+        shape = tuple(_header_int(d, f"tensor {i} ({name!r}): dim {k}")
+                      for k, d in enumerate(fields[1:]))
+        entries.append((name, shape))
         offset = line_end + 1
     tensors: dict[str, np.ndarray] = {}
     for name, shape in entries:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io import parse_key_values
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -182,8 +184,7 @@ def unproject(col: int, row: int, params: ProjectionParams) -> tuple[float, floa
 
 # --- sensor config files -------------------------------------------------
 #
-# Line-based `key=value` ASCII format, `#` starts a comment, keys may appear
-# in any order:
+# The `key = value` format of io.parse_key_values, with every key required:
 #
 #     name = my-sensor
 #     h_beams = 512
@@ -191,36 +192,18 @@ def unproject(col: int, row: int, params: ProjectionParams) -> tuple[float, floa
 #     fov_min_deg = -25.0
 #     fov_max_deg = 3.0
 
-_CONFIG_KEYS = ("name", "h_beams", "v_beams", "fov_min_deg", "fov_max_deg")
+_CONFIG_TYPES = {
+    "name": str, "h_beams": int, "v_beams": int,
+    "fov_min_deg": float, "fov_max_deg": float,
+}
 
 
 def parse_sensor_config(text: str) -> SensorConfig:
-    fields: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        if key in fields:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        fields[key] = value
-    missing = [k for k in _CONFIG_KEYS if k not in fields]
+    fields = parse_key_values(text, _CONFIG_TYPES)
+    missing = [k for k in _CONFIG_TYPES if k not in fields]
     if missing:
         raise ValueError("missing keys: " + ", ".join(missing))
-    try:
-        return SensorConfig(
-            name=fields["name"],
-            h_beams=int(fields["h_beams"]),
-            v_beams=int(fields["v_beams"]),
-            fov_min_deg=float(fields["fov_min_deg"]),
-            fov_max_deg=float(fields["fov_max_deg"]),
-        )
-    except ValueError as exc:
-        raise ValueError(f"invalid sensor config value: {exc}") from exc
+    return SensorConfig(**fields)
 
 
 def load_sensor_config(path) -> SensorConfig:
@@ -229,15 +212,8 @@ def load_sensor_config(path) -> SensorConfig:
 
 
 def save_sensor_config(config: SensorConfig, path) -> None:
-    lines = [
-        f"name = {config.name}",
-        f"h_beams = {config.h_beams}",
-        f"v_beams = {config.v_beams}",
-        f"fov_min_deg = {config.fov_min_deg}",
-        f"fov_max_deg = {config.fov_max_deg}",
-    ]
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(f"{key} = {getattr(config, key)}\n" for key in _CONFIG_TYPES))
 
 
 def resolve_sensor(spec: str) -> SensorConfig:

@@ -7,45 +7,29 @@ its numbering, not its structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_VOXEL_SIZE = 0.20  # meters
+_INT64_LIMIT = 2.0 ** 63  # cell indices must lie in [-2**63, 2**63)
 
 
 @dataclass
 class VoxelGrid:
-    voxel_size: float
     cells: np.ndarray           # (M, 3) integer cell indices
-    centers: np.ndarray         # (M, 3) cell centers (or member centroids)
+    centers: np.ndarray         # (M, 3) geometric cell centers
     point_to_voxel: np.ndarray  # (N,) voxel ordinal of each point
-    membership: list = field(repr=False)  # per-voxel arrays of point indices
 
     @property
     def num_voxels(self) -> int:
         return self.cells.shape[0]
 
-    @property
-    def counts(self) -> np.ndarray:
-        return np.bincount(self.point_to_voxel, minlength=self.num_voxels)
 
-
-def voxelize(
-    cloud: np.ndarray,
-    voxel_size: float = DEFAULT_VOXEL_SIZE,
-    center_mode: str = "cell",
-) -> VoxelGrid:
-    """Partition an (N, 3) cloud into cubic voxels.
-
-    center_mode selects the voxel representative: "cell" (geometric cell
-    center, default -- invariant to intra-voxel noise) or "centroid" (mean
-    of member points).
-    """
+def voxelize(cloud: np.ndarray, voxel_size: float = DEFAULT_VOXEL_SIZE) -> VoxelGrid:
+    """Partition an (N, 3) cloud into cubic voxels represented by cell centers."""
     if voxel_size <= 0:
         raise ValueError(f"voxel_size must be positive, got {voxel_size}")
-    if center_mode not in ("cell", "centroid"):
-        raise ValueError(f"unknown center_mode {center_mode!r}")
     cloud = np.asarray(cloud, dtype=np.float64)
     if cloud.ndim != 2 or cloud.shape[1] != 3:
         raise ValueError(f"expected (N, 3) cloud, got shape {cloud.shape}")
@@ -54,30 +38,27 @@ def voxelize(
         raise ValueError(
             f"non-finite coordinates at point index {np.flatnonzero(~finite)[0]}"
         )
+    scaled = np.floor(cloud / voxel_size)
+    fits = ((scaled >= -_INT64_LIMIT) & (scaled < _INT64_LIMIT)).all(axis=1)
+    if not fits.all():
+        raise ValueError(
+            f"cell index outside int64 range at point index {np.flatnonzero(~fits)[0]}"
+        )
+    cells_per_point = scaled.astype(np.int64)
 
-    cells_per_point = np.floor(cloud / voxel_size).astype(np.int64)
-    unique_cells, first_index, inverse = np.unique(
-        cells_per_point, axis=0, return_index=True, return_inverse=True
-    )
-    # np.unique sorts lexicographically; renumber to first-occurrence order.
-    order = np.argsort(first_index, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    point_to_voxel = rank[inverse.ravel()]
-    cells = unique_cells[order]
-
-    if center_mode == "cell":
-        centers = (cells + 0.5) * voxel_size
-    else:
-        sums = np.zeros((cells.shape[0], 3))
-        np.add.at(sums, point_to_voxel, cloud)
-        counts = np.bincount(point_to_voxel, minlength=cells.shape[0])
-        centers = sums / counts[:, None]
-
-    sorted_points = np.argsort(point_to_voxel, kind="stable")
-    boundaries = np.searchsorted(point_to_voxel[sorted_points], np.arange(1, cells.shape[0]))
-    membership = np.split(sorted_points, boundaries)
-    return VoxelGrid(float(voxel_size), cells, centers, point_to_voxel, membership)
+    # Stable sort groups equal cells with the first occurrence leading its run.
+    order = np.lexsort(cells_per_point.T[::-1])
+    sorted_cells = cells_per_point[order]
+    run_start = np.ones(order.size, dtype=bool)
+    run_start[1:] = (sorted_cells[1:] != sorted_cells[:-1]).any(axis=1)
+    first_index = order[run_start]
+    # Renumber runs (lexicographic order) to first-occurrence order.
+    rank = np.empty_like(first_index)
+    rank[np.argsort(first_index)] = np.arange(first_index.size)
+    point_to_voxel = np.empty_like(order)
+    point_to_voxel[order] = rank[np.cumsum(run_start) - 1]
+    cells = cells_per_point[np.sort(first_index)]
+    return VoxelGrid(cells, (cells + 0.5) * voxel_size, point_to_voxel)
 
 
 def voxel_offsets(grid: VoxelGrid, cloud: np.ndarray) -> np.ndarray:

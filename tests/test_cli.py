@@ -157,6 +157,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                 "--distances", "10"]) == 1
     assert run(["report-density-match", "--sensors", "waymo", "nuscenes",
                 "--distances", "-5"]) == 1
+    capsys.readouterr()
+    assert run(["train", "--sensor", "nuscenes", "--data", str(tmp_path),
+                "--batch", "0", "--out", str(tmp_path / "m.ckpt")]) == 1
+    assert "batch_size must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_data_errors_exit_2(tmp_path, capsys):
@@ -171,15 +175,6 @@ def test_data_errors_exit_2(tmp_path, capsys):
     bad.write_bytes(b"\x00" * 17)
     assert run(["density", "--sensor", "nuscenes", "--input", str(bad),
                 "--out", str(tmp_path / "d.f32")]) == 2
-
-
-def test_ddfe_threads_env_var(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DDFE_THREADS", "abc")
-    assert run(["report-density-match", "--sensors", "waymo", "nuscenes",
-                "--distances", "10"]) == 1
-    monkeypatch.setenv("DDFE_THREADS", "2")
-    assert run(["report-density-match", "--sensors", "waymo", "nuscenes",
-                "--distances", "10"]) == 0
 
 
 def test_help_exits_zero(capsys):

@@ -115,7 +115,7 @@ def test_zero_weight_voxel_mlp_broadcasts_bias(small_scene):
     for name in ("voxel_mlp.w1", "voxel_mlp.w2", "voxel_mlp.b1"):
         params[name].data[:] = 0.0
     params["voxel_mlp.b2"].data[:] = np.arange(16.0)
-    out = encode_voxel_features(small_scene.grid, params)
+    out = encode_voxel_features(small_scene.center_feats, params)
     assert np.allclose(out.data, np.arange(16.0))
 
 
@@ -254,8 +254,18 @@ def test_train_config_file_round_trip(tmp_path):
     cfg.to_file(path)
     assert TrainConfig.from_file(path) == cfg
     path.write_text("bogus = 3\n")
-    with pytest.raises(ValueError, match="unknown training config key"):
+    with pytest.raises(ValueError, match="line 1: unknown key 'bogus'"):
         TrainConfig.from_file(path)
+    path.write_text("epochs = 3\n# again\nepochs = 4\n")
+    with pytest.raises(ValueError, match="line 3: duplicate key 'epochs'"):
+        TrainConfig.from_file(path)
+    path.write_text("seed = 1.5\n")
+    with pytest.raises(ValueError, match="line 1: invalid value '1.5' for 'seed'"):
+        TrainConfig.from_file(path)
+    for field in ("epochs", "batch_size"):
+        path.write_text(f"{field} = 0\n")
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+            TrainConfig.from_file(path)
 
 
 def test_feature_similarity_matrix():

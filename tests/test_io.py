@@ -138,6 +138,18 @@ def test_checkpoint_rejects_malformed(tmp_path):
         dio.save_checkpoint({"bad name": np.ones(1)}, path)
 
 
+@pytest.mark.parametrize("header,fragment", [
+    (b"ddfe-checkpoint x\n", "tensor count must be a non-negative integer, got 'x'"),
+    (b"ddfe-checkpoint 2\na 4\nb.w 2 a\n", r"tensor 1 \('b.w'\): dim 1 must be .*, got 'a'"),
+    (b"ddfe-checkpoint 1\nw -3\n", r"tensor 0 \('w'\): dim 0 must be .*, got '-3'"),
+])
+def test_checkpoint_header_errors_name_tensor_and_field(tmp_path, header, fragment):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(header + np.ones(4, dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match=fragment):
+        dio.load_checkpoint(path)
+
+
 def test_checkpoint_little_endian_on_disk(tmp_path):
     path = tmp_path / "m.ckpt"
     dio.save_checkpoint({"v": np.array([1.0])}, path)

@@ -1,7 +1,35 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ddfe.voxels import majority_label, voxel_offsets, voxelize
+
+# Multiples of 0.25 sit exactly on cell boundaries for the 0.25 and 0.5 sizes.
+_COORD = st.one_of(
+    st.integers(-12, 12).map(lambda k: k * 0.25),
+    st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _clouds(draw):
+    """Clouds of N >= 0 points drawn with repetition from a few distinct ones."""
+    base = draw(st.lists(st.tuples(_COORD, _COORD, _COORD), max_size=10))
+    picks = draw(st.lists(st.sampled_from(base), max_size=40)) if base else []
+    return np.array(picks, dtype=np.float64).reshape(-1, 3)
+
+
+def _reference_partition(cloud, voxel_size):
+    """Brute force: one dict entry per cell, ordinals in order of first occurrence."""
+    ordinals: dict[tuple[int, int, int], int] = {}
+    point_to_voxel = [
+        ordinals.setdefault(tuple(math.floor(c / voxel_size) for c in point), len(ordinals))
+        for point in cloud.tolist()
+    ]
+    return list(ordinals), point_to_voxel
 
 
 def test_positive_octant_cell():
@@ -33,15 +61,18 @@ def test_ordinals_follow_first_occurrence():
     assert np.array_equal(grid.point_to_voxel, [0, 1, 0, 2])
 
 
-def test_partition_recomposes_every_point():
-    rng = np.random.default_rng(0)
-    cloud = rng.uniform(-5.0, 5.0, size=(500, 3))
-    grid = voxelize(cloud, 0.2)
-    assert grid.counts.sum() == 500
-    gathered = np.sort(np.concatenate(grid.membership))
-    assert np.array_equal(gathered, np.arange(500))
-    for j, members in enumerate(grid.membership):
-        assert np.all(grid.point_to_voxel[members] == j)
+@settings(max_examples=300, deadline=None)
+@given(cloud=_clouds(), voxel_size=st.sampled_from([0.2, 0.25, 0.5]))
+@example(cloud=np.zeros((0, 3)), voxel_size=0.2)
+@example(cloud=np.array([[-0.25, 0.0, 0.5]]), voxel_size=0.25)
+def test_voxelize_matches_first_occurrence_reference(cloud, voxel_size):
+    cells, point_to_voxel = _reference_partition(cloud, voxel_size)
+    grid = voxelize(cloud, voxel_size)
+    assert grid.num_voxels == len(cells)
+    assert grid.cells.tolist() == [list(c) for c in cells]
+    assert grid.point_to_voxel.tolist() == point_to_voxel
+    expected_centers = [[(k + 0.5) * voxel_size for k in c] for c in cells]
+    assert grid.centers.tolist() == expected_centers
 
 
 def test_offsets_examples_and_bound():
@@ -67,14 +98,6 @@ def test_translation_covariance():
     assert np.array_equal(base.point_to_voxel, moved.point_to_voxel)
     assert np.array_equal(base.cells + [5, -3, 2], moved.cells)
     assert np.allclose(base.centers + shift, moved.centers, atol=1e-9)
-
-
-def test_centroid_mode():
-    cloud = np.array([[0.02, 0.0, 0.0], [0.06, 0.0, 0.0]])
-    grid = voxelize(cloud, 0.2, center_mode="centroid")
-    assert np.allclose(grid.centers, [[0.04, 0.0, 0.0]])
-    with pytest.raises(ValueError):
-        voxelize(cloud, 0.2, center_mode="midpoint")
 
 
 def test_majority_label_examples():
@@ -104,6 +127,12 @@ def test_voxelize_errors():
         voxelize(np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]), 0.2)
     with pytest.raises(ValueError):
         voxelize(np.zeros((3, 2)), 0.2)
+    # floor(x / size) must fit in int64: 1e20 and 3e20 would wrap into one cell.
+    with pytest.raises(ValueError, match="int64 range at point index 1"):
+        voxelize(np.array([[0.0, 0.0, 0.0], [1e20, 0.0, 0.0], [3e20, 0.0, 0.0]]), 0.2)
+    with pytest.raises(ValueError, match="point index 0"):
+        voxelize(np.array([[0.0, 2.0 ** 63, 0.0]]), 1.0)
+    assert voxelize(np.array([[0.0, 0.0, -2.0 ** 63]]), 1.0).cells.tolist() == [[0, 0, -2 ** 63]]
     grid = voxelize(np.zeros((2, 3)), 0.2)
     with pytest.raises(ValueError):
         voxel_offsets(grid, np.zeros((3, 3)))
