@@ -133,8 +133,6 @@ def point_density(
     profile: BeamProfile, coords: SphericalCoords, params: ProjectionParams
 ) -> np.ndarray:
     """Multi-scale beam density of one point: sqrt(Bh * Bv) / r per scale."""
-    if coords.range <= 0:
-        raise ValueError(f"range must be positive, got {coords.range}")
     col = int(project_cols(coords.azimuth, params))
     row = int(project_rows(coords.elevation, params))
     return np.sqrt(profile.smooth_h[:, col] * profile.smooth_v[:, row]) / coords.range
@@ -145,12 +143,8 @@ def density_for_cloud(
 ) -> np.ndarray:
     """Per-point density embedding of an (N, 3) cloud, shape (N, len(sigmas)).
 
-    Row order follows the cloud; a zero-length point raises with its index.
+    Row order follows the cloud; a non-finite or zero-length point names its index.
     """
-    cloud = np.asarray(cloud, dtype=np.float64)
-    n_scales = profile.smooth_h.shape[0]
-    if cloud.size == 0:
-        return np.zeros((0, n_scales), dtype=np.float64)
     theta, phi, r = spherical_of_cloud(cloud)
     cols = project_cols(theta, params)
     rows = project_rows(phi, params)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .beams import BeamProfile, beam_profile, density_for_cloud
-from .io import parse_key_values
+from .io import check_labels, parse_key_values, read_ascii
 from .sensors import ProjectionParams, SensorConfig, spherical_of_cloud
 from .stats import ClipParams, DensityReservoir, fit_clip, soft_clip
 from .voxels import VoxelGrid, majority_label, voxel_offsets, voxelize
@@ -95,7 +95,6 @@ class EmbeddingParams:
 class EncodedScene:
     """Parameter-independent per-scan precomputation (cacheable)."""
 
-    cloud: np.ndarray
     grid: VoxelGrid
     segments: nn.SegmentMap
     offsets: np.ndarray       # (N, 3) intra-voxel offsets
@@ -131,7 +130,6 @@ def encode_scene(
         labels = np.asarray(labels)
         voxel_labels = majority_label(grid, labels)
     return EncodedScene(
-        cloud=cloud,
         grid=grid,
         segments=nn.SegmentMap(grid.point_to_voxel, grid.num_voxels),
         offsets=voxel_offsets(grid, cloud),
@@ -239,14 +237,16 @@ class TrainConfig:
     num_classes: int = 4
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size"):
+        for name in ("epochs", "batch_size", "num_classes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("base_lr", "lr_decay", "voxel_size"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        with open(path, "r", encoding="ascii") as fh:
-            return cls(**parse_key_values(fh.read(), _TRAIN_CONFIG_TYPES))
+        return cls(**parse_key_values(read_ascii(path), _TRAIN_CONFIG_TYPES))
 
     def to_file(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -324,11 +324,7 @@ def train(
 
     scenes = []
     for cloud, labels in dataset:
-        labels = np.asarray(labels)
-        if labels.size and (labels.min() < 0 or labels.max() >= hyper.num_classes):
-            raise ValueError(
-                f"labels must lie in [0, {hyper.num_classes}); got {int(labels.max())}"
-            )
+        labels = check_labels(labels, len(cloud), hyper.num_classes)
         scenes.append(encode_scene(cloud, profile, proj, hyper.voxel_size,
                                    labels, use_density))
 
@@ -435,9 +431,7 @@ def evaluate(
     num_classes = model.config.num_classes
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
     for cloud, labels in dataset:
-        labels = np.asarray(labels)
-        if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-            raise ValueError(f"labels must lie in [0, {num_classes})")
+        labels = check_labels(labels, len(cloud), num_classes)
         scene = encode_scene(cloud, profile, proj, model.config.voxel_size,
                              labels, model.config.use_density)
         pred = point_predictions(scene, model)

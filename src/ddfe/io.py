@@ -7,10 +7,60 @@ input with positional diagnostics instead of truncating silently.
 
 from __future__ import annotations
 
+import math
+from pathlib import Path
+
 import numpy as np
 
 SCAN_RECORD_BYTES = 16  # x, y, z, intensity as float32
 DENSITY_CSV_HEADER = "d10,d30,d50,d70"
+LABEL_LIMIT = 1 << 16  # .label files keep class ids in the low 16 bits
+
+
+def check_cloud(cloud) -> np.ndarray:
+    """Return the cloud as (N, 3) float64; a NaN or inf raises, naming its point index."""
+    cloud = np.asarray(cloud, dtype=np.float64)
+    if cloud.ndim != 2 or cloud.shape[1] != 3:
+        raise ValueError(f"expected (N, 3) cloud, got shape {cloud.shape}")
+    finite = np.isfinite(cloud)
+    if not finite.all():
+        point = np.flatnonzero(~finite)[0] // 3
+        raise ValueError(f"non-finite coordinates at point index {point}")
+    return cloud
+
+
+def check_labels(labels, n: int, num_classes: int) -> np.ndarray:
+    """Return n int64 class ids in [0, num_classes); a bad id raises, naming its index."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValueError(f"expected 1-D labels, got shape {labels.shape}")
+    if labels.size != n:
+        raise ValueError(f"label count {labels.size} does not match point count {n} "
+                         f"(first unmatched index {min(labels.size, n)})")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integer class ids, got dtype {labels.dtype}")
+    bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
+    if bad.size:
+        raise ValueError(f"invalid label {labels[bad[0]]} at index {bad[0]}; "
+                         f"labels must lie in [0, {num_classes})")
+    return labels.astype(np.int64, copy=False)
+
+
+def read_ascii(path) -> str:
+    """Read a text file that must be ASCII, naming the offset of a bad byte."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"non-ASCII byte at offset {exc.start}") from None
+
+
+def _read_records(path, record_bytes: int, dtype: str) -> np.ndarray:
+    """The whole fixed-size records of a binary file, as one flat array."""
+    raw = Path(path).read_bytes()
+    if len(raw) % record_bytes:
+        raise ValueError(f"truncated record at offset {len(raw) - len(raw) % record_bytes}")
+    return np.frombuffer(raw, dtype=dtype)
 
 
 def read_scan(path) -> np.ndarray:
@@ -19,21 +69,12 @@ def read_scan(path) -> np.ndarray:
     The intensity channel is read and discarded: it is sensor-specific and
     the embedding never uses it.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) % SCAN_RECORD_BYTES:
-        raise ValueError(
-            f"truncated record at offset {len(raw) - len(raw) % SCAN_RECORD_BYTES}"
-        )
-    records = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
-    return records[:, :3].astype(np.float64)
+    return check_cloud(_read_records(path, SCAN_RECORD_BYTES, "<f4").reshape(-1, 4)[:, :3])
 
 
 def write_scan(cloud: np.ndarray, path) -> None:
     """Write an (N, 3) cloud as float32 (x, y, z, 0) records."""
-    cloud = np.asarray(cloud, dtype=np.float64)
-    if cloud.ndim != 2 or cloud.shape[1] != 3:
-        raise ValueError(f"expected (N, 3) cloud, got shape {cloud.shape}")
+    cloud = check_cloud(cloud)
     records = np.zeros((cloud.shape[0], 4), dtype="<f4")
     records[:, :3] = cloud
     with open(path, "wb") as fh:
@@ -42,22 +83,11 @@ def write_scan(cloud: np.ndarray, path) -> None:
 
 def read_labels(path, expected_n: int) -> np.ndarray:
     """Read per-point class ids: low 16 bits of little-endian uint32 words."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) % 4:
-        raise ValueError(f"truncated record at offset {len(raw) - len(raw) % 4}")
-    words = np.frombuffer(raw, dtype="<u4")
-    if words.size != expected_n:
-        raise ValueError(
-            f"label count {words.size} does not match scan point count {expected_n}"
-        )
-    return (words & 0xFFFF).astype(np.int64)
+    return check_labels(_read_records(path, 4, "<u4") & 0xFFFF, expected_n, LABEL_LIMIT)
 
 
 def write_labels(labels: np.ndarray, path) -> None:
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() > 0xFFFF):
-        raise ValueError("class ids must fit in 16 bits")
+    labels = check_labels(labels, np.size(labels), LABEL_LIMIT)
     with open(path, "wb") as fh:
         fh.write(labels.astype("<u4").tobytes())
 
@@ -70,12 +100,12 @@ def write_density(values: np.ndarray, path) -> None:
 
 
 def read_density(path, num_channels: int = 4) -> np.ndarray:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    record = 4 * num_channels
-    if len(raw) % record:
-        raise ValueError(f"truncated record at offset {len(raw) - len(raw) % record}")
-    return np.frombuffer(raw, dtype="<f4").reshape(-1, num_channels).astype(np.float64)
+    values = _read_records(path, 4 * num_channels, "<f4")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        row = bad[0] // num_channels
+        raise ValueError(f"non-finite density at offset {4 * bad[0]} (row {row})")
+    return values.reshape(-1, num_channels).astype(np.float64)
 
 
 def write_density_csv(values: np.ndarray, path) -> None:
@@ -87,21 +117,24 @@ def write_density_csv(values: np.ndarray, path) -> None:
 
 
 def read_density_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != DENSITY_CSV_HEADER:
-            raise ValueError(
-                f"line 1: expected header {DENSITY_CSV_HEADER!r}, got {header!r}"
-            )
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"line {lineno}: expected 4 values, got {len(parts)}")
-            rows.append([float(p) for p in parts])
+    lines = read_ascii(path).split("\n")
+    header = lines[0].strip()
+    if header != DENSITY_CSV_HEADER:
+        raise ValueError(
+            f"line 1: expected header {DENSITY_CSV_HEADER!r}, got {header!r}"
+        )
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = [float(p) for p in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != 4 or not np.isfinite(row).all():
+            raise ValueError(f"line {lineno}: expected 4 finite values, got {line!r}")
+        rows.append(row)
     return np.asarray(rows, dtype=np.float64).reshape(-1, 4)
 
 
@@ -174,16 +207,15 @@ def _header_int(text: str, what: str) -> int:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = Path(path).read_bytes()
     try:
         first_end = raw.index(b"\n")
     except ValueError:
-        raise ValueError("truncated checkpoint: missing header") from None
+        raise ValueError("truncated checkpoint: no header line at offset 0") from None
     magic = raw[:first_end].decode("ascii", errors="replace").split()
     if len(magic) != 2 or magic[0] != _CHECKPOINT_MAGIC:
-        raise ValueError(f"not a checkpoint file: first line {raw[:first_end]!r}")
-    count = _header_int(magic[1], "checkpoint header: tensor count")
+        raise ValueError(f"not a checkpoint file: line 1 is {raw[:first_end]!r}")
+    count = _header_int(magic[1], "line 1: tensor count")
     offset = first_end + 1
     entries = []
     for i in range(count):
@@ -191,6 +223,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             line_end = raw.index(b"\n", offset)
         except ValueError:
             raise ValueError(f"truncated checkpoint header at tensor {i}") from None
+        if not raw[offset:line_end].isascii():
+            raise ValueError(f"tensor {i}: non-ASCII byte in header line at offset {offset}")
         fields = raw[offset:line_end].decode("ascii").split()
         if not fields:
             raise ValueError(f"empty header line for tensor {i}")
@@ -201,13 +235,16 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         offset = line_end + 1
     tensors: dict[str, np.ndarray] = {}
     for name, shape in entries:
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > len(raw):
             raise ValueError(
                 f"truncated checkpoint payload for tensor {name!r} at offset {offset}"
             )
         flat = np.frombuffer(raw[offset : offset + nbytes], dtype="<f8")
-        tensors[name] = flat.reshape(shape).astype(np.float64)
+        try:
+            tensors[name] = flat.reshape(shape).astype(np.float64)
+        except ValueError as exc:  # zero-size, but too many elements for numpy
+            raise ValueError(f"tensor {name!r} at offset {offset}: {exc}") from None
         offset += nbytes
     if offset != len(raw):
         raise ValueError(f"trailing bytes after checkpoint payload at offset {offset}")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .io import check_labels
+
 
 class Tensor:
     """Array value with a gradient buffer and a backward closure."""
@@ -267,7 +269,6 @@ def weighted_cross_entropy(logits, labels, class_weights) -> Tensor:
     Invariant to positive rescaling of the weight vector.
     """
     logits = as_tensor(logits)
-    labels = np.asarray(labels)
     weights = np.asarray(class_weights, dtype=np.float64)
     num_classes = logits.data.shape[1]
     if weights.shape != (num_classes,):
@@ -276,11 +277,7 @@ def weighted_cross_entropy(logits, labels, class_weights) -> Tensor:
         )
     if np.any(weights <= 0):
         raise ValueError("class weights must be positive")
-    bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
-    if bad.size:
-        raise ValueError(
-            f"invalid label {labels[bad[0]]} at index {bad[0]} (num_classes={num_classes})"
-        )
+    labels = check_labels(labels, logits.data.shape[0], num_classes)
 
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -315,7 +312,6 @@ def lovasz_softmax(probs, labels) -> Tensor:
     which is exact almost everywhere on the piecewise-linear extension.
     """
     probs = as_tensor(probs)
-    labels = np.asarray(labels)
     p = probs.data
     row_sums = p.sum(axis=1)
     off = np.flatnonzero(np.abs(row_sums - 1.0) > 1e-6)
@@ -323,9 +319,7 @@ def lovasz_softmax(probs, labels) -> Tensor:
         raise ValueError(
             f"unnormalized rows: row {off[0]} sums to {row_sums[off[0]]!r}"
         )
-    num_classes = p.shape[1]
-    if np.any(labels < 0) or np.any(labels >= num_classes):
-        raise ValueError(f"labels must lie in [0, {num_classes})")
+    labels = check_labels(labels, p.shape[0], p.shape[1])
 
     present = np.unique(labels)
     total = 0.0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import parse_key_values
+from .io import check_cloud, parse_key_values, read_ascii
 
 TWO_PI = 2.0 * math.pi
 
@@ -123,26 +123,20 @@ def to_spherical(point) -> SphericalCoords:
     """Convert one Cartesian point (meters) to spherical coordinates.
 
     Azimuth is wrapped into [0, 2*pi); elevation is the angle above the
-    horizontal plane.  The origin itself has no direction and is rejected.
+    horizontal plane.  Rejected like a one-point cloud by spherical_of_cloud:
+    a non-finite point, or the origin, which has no direction.
     """
-    x, y, z = (float(v) for v in point)
-    r = math.sqrt(x * x + y * y + z * z)
-    if r == 0.0:
-        raise ValueError("degenerate point at sensor origin")
-    theta = math.atan2(y, x) % TWO_PI
-    phi = math.asin(max(-1.0, min(1.0, z / r)))
-    return SphericalCoords(theta, phi, r)
+    theta, phi, r = spherical_of_cloud([point])
+    return SphericalCoords(float(theta[0]), float(phi[0]), float(r[0]))
 
 
 def spherical_of_cloud(cloud: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized spherical conversion of an (N, 3) cloud.
 
     Returns (azimuth, elevation, range) arrays in radians/meters.  Raises on
-    the first zero-length point, naming its index.
+    a non-finite or zero-length point, naming its index (io.check_cloud).
     """
-    cloud = np.asarray(cloud, dtype=np.float64)
-    if cloud.ndim != 2 or cloud.shape[1] != 3:
-        raise ValueError(f"expected (N, 3) cloud, got shape {cloud.shape}")
+    cloud = check_cloud(cloud)
     r = np.linalg.norm(cloud, axis=1)
     bad = np.flatnonzero(r == 0.0)
     if bad.size:
@@ -207,8 +201,7 @@ def parse_sensor_config(text: str) -> SensorConfig:
 
 
 def load_sensor_config(path) -> SensorConfig:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_sensor_config(fh.read())
+    return parse_sensor_config(read_ascii(path))
 
 
 def save_sensor_config(config: SensorConfig, path) -> None:

@@ -50,8 +50,10 @@ class DensityReservoir:
             raise ValueError(
                 f"expected (N, {self.num_channels}) embedding, got shape {values.shape}"
             )
-        if not np.isfinite(values).all():
-            raise ValueError("non-finite density")
+        finite = np.isfinite(values)
+        if not finite.all():
+            row = np.flatnonzero(~finite)[0] // self.num_channels
+            raise ValueError(f"non-finite density at row {row}")
         for c in range(self.num_channels):
             self._update_channel(c, values[:, c])
 

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io import LABEL_LIMIT, check_cloud, check_labels
+
 DEFAULT_VOXEL_SIZE = 0.20  # meters
 _INT64_LIMIT = 2.0 ** 63  # cell indices must lie in [-2**63, 2**63)
 
@@ -30,15 +32,7 @@ def voxelize(cloud: np.ndarray, voxel_size: float = DEFAULT_VOXEL_SIZE) -> Voxel
     """Partition an (N, 3) cloud into cubic voxels represented by cell centers."""
     if voxel_size <= 0:
         raise ValueError(f"voxel_size must be positive, got {voxel_size}")
-    cloud = np.asarray(cloud, dtype=np.float64)
-    if cloud.ndim != 2 or cloud.shape[1] != 3:
-        raise ValueError(f"expected (N, 3) cloud, got shape {cloud.shape}")
-    finite = np.isfinite(cloud).all(axis=1)
-    if not finite.all():
-        raise ValueError(
-            f"non-finite coordinates at point index {np.flatnonzero(~finite)[0]}"
-        )
-    scaled = np.floor(cloud / voxel_size)
+    scaled = np.floor(check_cloud(cloud) / voxel_size)
     fits = ((scaled >= -_INT64_LIMIT) & (scaled < _INT64_LIMIT)).all(axis=1)
     if not fits.all():
         raise ValueError(
@@ -74,16 +68,7 @@ def voxel_offsets(grid: VoxelGrid, cloud: np.ndarray) -> np.ndarray:
 
 def majority_label(grid: VoxelGrid, point_labels: np.ndarray) -> np.ndarray:
     """Most frequent member label per voxel; ties break to the smallest id."""
-    labels = np.asarray(point_labels)
-    if labels.shape[0] != grid.point_to_voxel.shape[0]:
-        raise ValueError(
-            f"expected {grid.point_to_voxel.shape[0]} labels, got {labels.shape[0]}"
-        )
-    if labels.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if np.any(labels < 0):
-        raise ValueError("labels must be non-negative class ids")
-    num_classes = int(labels.max()) + 1
-    votes = np.zeros((grid.num_voxels, num_classes), dtype=np.int64)
+    labels = check_labels(point_labels, grid.point_to_voxel.shape[0], LABEL_LIMIT)
+    votes = np.zeros((grid.num_voxels, labels.max(initial=0) + 1), dtype=np.int64)
     np.add.at(votes, (grid.point_to_voxel, labels), 1)
     return votes.argmax(axis=1)  # argmax picks the smallest id on ties

@@ -161,6 +161,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run(["train", "--sensor", "nuscenes", "--data", str(tmp_path),
                 "--batch", "0", "--out", str(tmp_path / "m.ckpt")]) == 1
     assert "batch_size must be >= 1, got 0" in capsys.readouterr().err
+    for flag, field in (("--voxel", "voxel_size"), ("--classes", "num_classes")):
+        assert run(["train", "--sensor", "nuscenes", "--data", str(tmp_path),
+                    flag, "0", "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert f"{field} must be" in capsys.readouterr().err
 
 
 def test_data_errors_exit_2(tmp_path, capsys):
@@ -175,6 +179,23 @@ def test_data_errors_exit_2(tmp_path, capsys):
     bad.write_bytes(b"\x00" * 17)
     assert run(["density", "--sensor", "nuscenes", "--input", str(bad),
                 "--out", str(tmp_path / "d.f32")]) == 2
+    # A NaN or infinite coordinate stops density and stats before any output.
+    for value in (np.nan, np.inf):
+        scans = tmp_path / f"scans_{value}"
+        scans.mkdir()
+        records = np.array([[5.0, 1.0, -1.0, 0.0], [6.0, value, 0.0, 0.0]], dtype="<f4")
+        (scans / "000000.bin").write_bytes(records.tobytes())
+        out = tmp_path / "nan.f32"
+        capsys.readouterr()
+        assert run(["density", "--sensor", "nuscenes", "--input",
+                    str(scans / "000000.bin"), "--out", str(out)]) == 2
+        assert "point index 1" in capsys.readouterr().err
+        assert not out.exists()
+        clip = tmp_path / "clip.txt"
+        assert run(["stats", "--sensor", "nuscenes", "--inputs", str(scans),
+                    "--out", str(clip)]) == 2
+        assert "point index 1" in capsys.readouterr().err
+        assert not clip.exists()
 
 
 def test_help_exits_zero(capsys):

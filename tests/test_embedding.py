@@ -60,7 +60,7 @@ def _clip():
 def test_forward_shapes(small_scene):
     params = _params()
     point_feats, voxel_feats = forward_encoded(small_scene, params, _clip())
-    n = small_scene.cloud.shape[0]
+    n = small_scene.offsets.shape[0]
     m = small_scene.grid.num_voxels
     assert point_feats.data.shape == (n, 16)
     assert voxel_feats.data.shape == (m, 32)
@@ -262,10 +262,18 @@ def test_train_config_file_round_trip(tmp_path):
     path.write_text("seed = 1.5\n")
     with pytest.raises(ValueError, match="line 1: invalid value '1.5' for 'seed'"):
         TrainConfig.from_file(path)
-    for field in ("epochs", "batch_size"):
+    for field in ("epochs", "batch_size", "num_classes"):
         path.write_text(f"{field} = 0\n")
         with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
             TrainConfig.from_file(path)
+    for field in ("base_lr", "lr_decay", "voxel_size"):
+        for value in ("nan", "inf", "0", "-0.5"):
+            path.write_text(f"{field} = {value}\n")
+            with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+                TrainConfig.from_file(path)
+    path.write_bytes(b"seed = 1\nepochs = \xe9\n")
+    with pytest.raises(ValueError, match="non-ASCII byte at offset 18"):
+        TrainConfig.from_file(path)
 
 
 def test_feature_similarity_matrix():

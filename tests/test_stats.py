@@ -52,6 +52,8 @@ def test_update_rejects_non_finite():
     res = DensityReservoir(seed=0)
     with pytest.raises(ValueError, match="non-finite density"):
         res.update(np.array([[np.nan, 0.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="non-finite density at row 1"):
+        res.update(np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, np.inf, 1.0]]))
 
 
 def test_update_rejects_bad_shape():
