@@ -25,7 +25,6 @@ from .embedding import (
     Model,
     TrainConfig,
     checkpoint_tensors,
-    ddfe_forward,
     evaluate,
     model_from_tensors,
     train,

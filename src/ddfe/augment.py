@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io import LABEL_LIMIT, check_labels
 from .sensors import SensorConfig, beam_inclinations, spherical_of_cloud
 
 KEEP_FRACTIONS = (0.5, 0.75)  # emulates 32- and 48-beam sensors from 64
@@ -64,7 +65,7 @@ def beam_sample(
             f"[{keep.min()}, {keep.max()}]"
         )
     cloud = np.asarray(cloud, dtype=np.float64)
-    labels = np.asarray(labels)
+    labels = check_labels(labels, len(cloud), LABEL_LIMIT)
     mask = np.isin(nearest_beam(cloud, config), keep)
     return cloud[mask], labels[mask]
 
@@ -89,15 +90,15 @@ def enhanced_mix3d(
 
     scene_a is never modified; labels concatenate in (a, b) order.
     """
-    cloud_a, labels_a = scene_a
-    cloud_b, labels_b = scene_b
+    cloud_a = np.asarray(scene_a[0], dtype=np.float64)
+    cloud_b = np.asarray(scene_b[0], dtype=np.float64)
+    labels_a = check_labels(scene_a[1], len(cloud_a), LABEL_LIMIT)
+    labels_b = check_labels(scene_b[1], len(cloud_b), LABEL_LIMIT)
     yaw = rng.uniform(cfg.mix_rotation[0], cfg.mix_rotation[1])
     shift = rng.uniform(0.0, cfg.mix_translation_max)
-    moved = rotate_yaw(np.asarray(cloud_b, dtype=np.float64), yaw)
+    moved = rotate_yaw(cloud_b, yaw)
     moved[:, 0] += shift
-    cloud = np.concatenate([np.asarray(cloud_a, dtype=np.float64), moved])
-    labels = np.concatenate([np.asarray(labels_a), np.asarray(labels_b)])
-    return cloud, labels
+    return np.concatenate([cloud_a, moved]), np.concatenate([labels_a, labels_b])
 
 
 def random_keep_set(config: SensorConfig, cfg: AugmentConfig,

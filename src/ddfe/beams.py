@@ -118,15 +118,11 @@ def smooth_profile(
     return BeamProfile(raw_h, raw_v, smooth_h, smooth_v, tuple(sigmas))
 
 
-def beam_profile(
-    config: SensorConfig,
-    params: ProjectionParams | None = None,
-    sigmas: tuple[float, ...] = DEFAULT_SIGMAS,
-) -> BeamProfile:
-    """Rasterize and smooth in one step."""
+def beam_profile(config: SensorConfig, params: ProjectionParams | None = None) -> BeamProfile:
+    """Rasterize and smooth at the DEFAULT_SIGMAS scales in one step."""
     params = params or ProjectionParams()
     raw_h, raw_v = rasterize_beams(config, params)
-    return smooth_profile(raw_h, raw_v, sigmas)
+    return smooth_profile(raw_h, raw_v)
 
 
 def point_density(

@@ -109,14 +109,9 @@ def _cmd_stats(args) -> None:
     for path in paths:
         reservoir.update(density_for_cloud(profile, ddfe_io.read_scan(path), proj))
     clip = fit_clip(reservoir)
-    channel_names = [f"d{int(s)}" for s in DEFAULT_SIGMAS]
-    with open(args.out, "w", encoding="ascii") as fh:
-        for c, name in enumerate(channel_names):
-            fh.write(f"m.{name} = {float(clip.mid[c])!r}\n")
-            fh.write(f"l.{name} = {float(clip.half_span[c])!r}\n")
-    print(f"fit clip on {len(paths)} scans; wrote {args.out}")
-    for c, name in enumerate(channel_names):
-        print(f"  {name}: P10={clip.p10[c]:.6g} P90={clip.p90[c]:.6g} "
+    print(f"fit clip on {len(paths)} scans")
+    for c, sigma in enumerate(DEFAULT_SIGMAS):
+        print(f"  d{int(sigma)}: P10={clip.p10[c]:.6g} P90={clip.p90[c]:.6g} "
               f"m={clip.mid[c]:.6g} l={clip.half_span[c]:.6g}")
 
 
@@ -261,10 +256,9 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", action="store_true")
     p.set_defaults(handler=_cmd_density)
 
-    p = sub.add_parser("stats", help="fit density clip parameters over scans")
+    p = sub.add_parser("stats", help="print density clip parameters fitted over scans")
     p.add_argument("--sensor", required=True)
     p.add_argument("--inputs", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_stats)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .beams import BeamProfile, beam_profile, density_for_cloud
+from .beams import DEFAULT_SIGMAS, BeamProfile, beam_profile, density_for_cloud
 from .io import check_labels, parse_key_values, read_ascii
 from .sensors import ProjectionParams, SensorConfig, spherical_of_cloud
 from .stats import ClipParams, DensityReservoir, fit_clip, soft_clip
@@ -30,19 +30,22 @@ from .voxels import VoxelGrid, majority_label, voxel_offsets, voxelize
 RANGE_SCALE = 25.0
 DENSITY_SCALE = 25.0
 
+# Fixed layer widths; the density input has one channel per smoothing scale.
+POINT_CHANNELS = 16
+VOXEL_CHANNELS = 16
+FUSED_CHANNELS = 32
+HIDDEN = 16
+
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
-    """Architecture sizes and ablation switches."""
+    """Class count, voxel size and ablation switches.
+
+    Training without the density clip leaves the model's clip at None.
+    """
 
     num_classes: int = 4
-    density_channels: int = 4
-    point_channels: int = 16
-    voxel_channels: int = 16
-    fused_channels: int = 32
-    hidden: int = 16
     voxel_size: float = 0.20
-    use_clip: bool = True       # density soft clipping
     use_attention: bool = True  # density-driven gates (off: gates == 1)
     use_density: bool = True    # off: density channels zeroed at the source
 
@@ -51,8 +54,8 @@ class EmbeddingParams:
     """All trainable tensors, keyed by dotted layer names in fixed order."""
 
     def __init__(self, config: EmbeddingConfig, rng: np.random.Generator):
-        c = config
         self.config = config
+        density_channels = len(DEFAULT_SIGMAS)
         self.tensors: dict[str, nn.Tensor] = {}
 
         def mlp(prefix, d_in, d_hidden, d_out):
@@ -61,15 +64,15 @@ class EmbeddingParams:
             self._add(f"{prefix}.w2", (d_hidden, d_out), rng)
             self._add(f"{prefix}.b2", (d_out,), rng)
 
-        mlp("voxel_mlp", 4, c.hidden, c.voxel_channels)
-        mlp("point_head", 3, c.hidden, c.point_channels)
-        mlp("attn_point", c.density_channels, c.hidden, c.point_channels)
-        mlp("attn_voxel", c.density_channels, c.hidden, c.voxel_channels)
-        self._add("fuse.w", (c.voxel_channels + c.point_channels, c.fused_channels), rng)
-        self._add("fuse.b", (c.fused_channels,), rng)
-        mlp("toy_head", c.fused_channels, c.fused_channels, c.num_classes)
-        self._add("point_classifier.w", (c.point_channels, c.num_classes), rng)
-        self._add("point_classifier.b", (c.num_classes,), rng)
+        mlp("voxel_mlp", 4, HIDDEN, VOXEL_CHANNELS)
+        mlp("point_head", 3, HIDDEN, POINT_CHANNELS)
+        mlp("attn_point", density_channels, HIDDEN, POINT_CHANNELS)
+        mlp("attn_voxel", density_channels, HIDDEN, VOXEL_CHANNELS)
+        self._add("fuse.w", (VOXEL_CHANNELS + POINT_CHANNELS, FUSED_CHANNELS), rng)
+        self._add("fuse.b", (FUSED_CHANNELS,), rng)
+        mlp("toy_head", FUSED_CHANNELS, FUSED_CHANNELS, config.num_classes)
+        self._add("point_classifier.w", (POINT_CHANNELS, config.num_classes), rng)
+        self._add("point_classifier.b", (config.num_classes,), rng)
 
     def _add(self, name: str, shape: tuple[int, ...], rng: np.random.Generator):
         if len(shape) == 1:
@@ -99,7 +102,7 @@ class EncodedScene:
     segments: nn.SegmentMap
     offsets: np.ndarray       # (N, 3) intra-voxel offsets
     center_feats: np.ndarray  # (M, 4) voxel centers as (cos, sin, phi, r/25)
-    density_raw: np.ndarray   # (N, density_channels) unclipped densities
+    density_raw: np.ndarray   # (N, len(DEFAULT_SIGMAS)) unclipped densities
     labels: np.ndarray | None = None
     voxel_labels: np.ndarray | None = None
 
@@ -140,11 +143,10 @@ def encode_scene(
     )
 
 
-def clipped_density(scene: EncodedScene, clip: ClipParams | None,
-                    config: EmbeddingConfig) -> np.ndarray:
-    if config.use_clip and clip is not None:
-        return soft_clip(scene.density_raw, clip)
-    return scene.density_raw
+def clipped_density(scene: EncodedScene, clip: ClipParams | None) -> np.ndarray:
+    if clip is None:
+        return scene.density_raw
+    return soft_clip(scene.density_raw, clip)
 
 
 def encode_voxel_features(center_feats: np.ndarray, params: EmbeddingParams) -> nn.Tensor:
@@ -192,28 +194,13 @@ def forward_encoded(scene: EncodedScene, params: EmbeddingParams,
                     clip: ClipParams | None) -> tuple[nn.Tensor, nn.Tensor]:
     """Differentiable forward pass on a pre-encoded scene."""
     config = params.config
-    dc = clipped_density(scene, clip, config)
+    dc = clipped_density(scene, clip)
     voxel_feats = encode_voxel_features(scene.center_feats, params)
     point_feats = encode_point_features(scene.offsets, params)
     point_gated = point_attention(dc, point_feats, params, config.use_attention)
     fused = voxel_fuse(dc, scene.segments, voxel_feats, point_gated, params,
                        config.use_attention)
     return point_gated, fused
-
-
-def ddfe_forward(
-    cloud: np.ndarray,
-    profile: BeamProfile,
-    clip: ClipParams | None,
-    params: EmbeddingParams,
-    proj: ProjectionParams | None = None,
-) -> tuple[np.ndarray, np.ndarray, VoxelGrid]:
-    """Full pipeline: cloud -> (point features (N, 16), voxel features (M, 32), grid)."""
-    proj = proj or ProjectionParams()
-    scene = encode_scene(cloud, profile, proj, params.config.voxel_size,
-                         use_density=params.config.use_density)
-    point_gated, fused = forward_encoded(scene, params, clip)
-    return point_gated.data, fused.data, scene.grid
 
 
 # --- training -------------------------------------------------------------
@@ -304,7 +291,6 @@ def train(
     use_clip: bool = True,
     use_attention: bool = True,
     use_density: bool = True,
-    proj: ProjectionParams | None = None,
     progress=None,
 ) -> Model:
     """Fit the embedding and heads on labeled clouds; deterministic per seed.
@@ -315,11 +301,11 @@ def train(
     if not dataset:
         raise ValueError("dataset is empty")
     hyper = hyper or TrainConfig()
-    proj = proj or ProjectionParams()
+    proj = ProjectionParams()
     profile = beam_profile(sensor_config, proj)
     config = EmbeddingConfig(
         num_classes=hyper.num_classes, voxel_size=hyper.voxel_size,
-        use_clip=use_clip, use_attention=use_attention, use_density=use_density,
+        use_attention=use_attention, use_density=use_density,
     )
 
     scenes = []
@@ -330,8 +316,7 @@ def train(
 
     clip = None
     if use_clip:
-        reservoir = DensityReservoir(num_channels=config.density_channels,
-                                     seed=hyper.seed)
+        reservoir = DensityReservoir(num_channels=len(DEFAULT_SIGMAS), seed=hyper.seed)
         for scene in scenes:
             reservoir.update(scene.density_raw)
         clip = fit_clip(reservoir)
@@ -421,12 +406,11 @@ def evaluate(
     dataset: list[tuple[np.ndarray, np.ndarray]],
     model: Model,
     sensor_config: SensorConfig,
-    proj: ProjectionParams | None = None,
 ) -> EvalReport:
     """Point-level IoU of the model on labeled clouds."""
     if not dataset:
         raise ValueError("dataset is empty")
-    proj = proj or ProjectionParams()
+    proj = ProjectionParams()
     profile = beam_profile(sensor_config, proj)
     num_classes = model.config.num_classes
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
@@ -442,19 +426,15 @@ def evaluate(
 
 # --- checkpoints ----------------------------------------------------------
 
-_META_FIELDS = (
-    "num_classes", "density_channels", "point_channels", "voxel_channels",
-    "fused_channels", "hidden",
-)
-_META_FLAGS = ("use_clip", "use_attention", "use_density")
+_META_FLAGS = ("use_attention", "use_density")
 
 
 def checkpoint_tensors(model: Model) -> dict[str, np.ndarray]:
     """Flatten a model into named arrays (clip appended as labeled tensors)."""
-    out: dict[str, np.ndarray] = {}
-    for field in _META_FIELDS:
-        out[f"meta.{field}"] = np.float64(getattr(model.config, field))
-    out["meta.voxel_size"] = np.float64(model.config.voxel_size)
+    out: dict[str, np.ndarray] = {
+        "meta.num_classes": np.float64(model.config.num_classes),
+        "meta.voxel_size": np.float64(model.config.voxel_size),
+    }
     for flag in _META_FLAGS:
         out[f"meta.{flag}"] = np.float64(getattr(model.config, flag))
     for name, tensor in model.params.tensors.items():
@@ -467,7 +447,7 @@ def checkpoint_tensors(model: Model) -> dict[str, np.ndarray]:
 
 def model_from_tensors(tensors: dict[str, np.ndarray]) -> Model:
     config = EmbeddingConfig(
-        **{f: int(tensors[f"meta.{f}"]) for f in _META_FIELDS},
+        num_classes=int(tensors["meta.num_classes"]),
         voxel_size=float(tensors["meta.voxel_size"]),
         **{f: bool(tensors[f"meta.{f}"]) for f in _META_FLAGS},
     )
@@ -491,25 +471,23 @@ def model_from_tensors(tensors: dict[str, np.ndarray]) -> Model:
 
 
 def binned_voxel_features(
-    dataset: list[tuple[np.ndarray, np.ndarray]] | list[np.ndarray],
+    dataset: list[tuple[np.ndarray, np.ndarray]],
     model: Model,
     sensor_config: SensorConfig,
     bin_edges: np.ndarray | None = None,
-    proj: ProjectionParams | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean fused voxel feature per voxel-center range bin.
 
-    Returns (means (B, fused_channels), counts (B,)); bins default to 5 m
-    steps over 0-50 m.  Empty bins yield NaN rows.
+    Returns (means (B, 32), counts (B,)); bins default to 5 m steps over
+    0-50 m.  Empty bins yield NaN rows.  Labels are not used.
     """
-    proj = proj or ProjectionParams()
+    proj = ProjectionParams()
     edges = np.arange(0.0, 55.0, 5.0) if bin_edges is None else np.asarray(bin_edges)
     profile = beam_profile(sensor_config, proj)
     n_bins = edges.size - 1
-    sums = np.zeros((n_bins, model.config.fused_channels))
+    sums = np.zeros((n_bins, FUSED_CHANNELS))
     counts = np.zeros(n_bins, dtype=np.int64)
-    for item in dataset:
-        cloud = item[0] if isinstance(item, tuple) else item
+    for cloud, _ in dataset:
         scene = encode_scene(cloud, profile, proj, model.config.voxel_size,
                              use_density=model.config.use_density)
         _, fused = forward_encoded(scene, model.params, model.clip)

@@ -147,11 +147,12 @@ def read_density_csv(path) -> np.ndarray:
 def parse_key_values(text: str, types: dict) -> dict:
     """Parse `key = value` lines into {key: types[key](value)}.
 
-    Lines without `=`, keys outside `types`, repeated keys and values the
-    type rejects all raise ValueError naming the line.
+    Only \\n ends a line, so line numbers agree with an editor's.  Lines
+    without `=`, keys outside `types`, repeated keys and values the type
+    rejects all raise ValueError naming the line.
     """
     fields = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -217,7 +218,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         raise ValueError(f"not a checkpoint file: line 1 is {raw[:first_end]!r}")
     count = _header_int(magic[1], "line 1: tensor count")
     offset = first_end + 1
-    entries = []
+    entries: dict[str, tuple[int, ...]] = {}
     for i in range(count):
         try:
             line_end = raw.index(b"\n", offset)
@@ -229,12 +230,13 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         if not fields:
             raise ValueError(f"empty header line for tensor {i}")
         name = fields[0]
-        shape = tuple(_header_int(d, f"tensor {i} ({name!r}): dim {k}")
-                      for k, d in enumerate(fields[1:]))
-        entries.append((name, shape))
+        if name in entries:
+            raise ValueError(f"tensor {i}: duplicate name {name!r}")
+        entries[name] = tuple(_header_int(d, f"tensor {i} ({name!r}): dim {k}")
+                              for k, d in enumerate(fields[1:]))
         offset = line_end + 1
     tensors: dict[str, np.ndarray] = {}
-    for name, shape in entries:
+    for name, shape in entries.items():
         nbytes = math.prod(shape) * 8
         if offset + nbytes > len(raw):
             raise ValueError(

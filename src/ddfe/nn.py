@@ -342,13 +342,17 @@ def lovasz_softmax(probs, labels) -> Tensor:
     return Tensor(loss, parents=(probs,), backward_fn=backward)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam with bias correction over a fixed parameter list."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -364,17 +368,17 @@ class Adam:
             if not np.isfinite(g).all():
                 raise ValueError(f"non-finite gradient in parameter {i}; step aborted")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for p, g, m, v in zip(self.params, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def lr_schedule(epoch: int, base_lr: float = 1e-3, decay: float = 0.99) -> float:
+def lr_schedule(epoch: int, base_lr: float, decay: float) -> float:
     """Learning rate after `epoch` whole epochs: base * decay**epoch."""
     return base_lr * decay**epoch
 

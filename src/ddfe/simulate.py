@@ -2,9 +2,10 @@
 
 One ray per (horizontal, vertical) beam pair is cast from the origin; the
 nearest positive intersection becomes a labeled point.  The model is kept
-analytically clean on purpose (first return only, no beam divergence), so
-scans double as a geometric ground truth for density checks: a wall patch
-facing the sensor receives points at an areal density falling off as 1/r^2.
+analytically clean on purpose (first return only, no beam divergence, no
+range noise), so scans double as a geometric ground truth for density
+checks: a wall patch facing the sensor receives points at an areal density
+falling off as 1/r^2.
 
 The ego vehicle faces +x; the sensor sits at the origin, nominally ~2 m
 above ground.
@@ -100,7 +101,6 @@ class Cylinder:
 @dataclass
 class Scene:
     primitives: list = field(default_factory=list)
-    noise_sigma: float = 0.0   # range noise std, meters
     max_range: float = 120.0   # returns beyond this are dropped
 
 
@@ -139,9 +139,7 @@ def ray_directions(config: SensorConfig) -> np.ndarray:
     return dirs.reshape(-1, 3)
 
 
-def raycast_scan(
-    scene: Scene, config: SensorConfig, rng: np.random.Generator | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def raycast_scan(scene: Scene, config: SensorConfig) -> tuple[np.ndarray, np.ndarray]:
     """Scan a scene; returns (cloud (N, 3), labels (N,)).
 
     Rays that hit nothing produce no point.  Output order is deterministic:
@@ -157,10 +155,6 @@ def raycast_scan(
     t, dirs_hit = t[valid], dirs[valid]
     prim_labels = np.array([prim.label for prim in scene.primitives], dtype=np.int64)
     labels = prim_labels[nearest[valid]]
-    if scene.noise_sigma > 0.0:
-        if rng is None:
-            raise ValueError("range noise requested but no rng given")
-        t = np.maximum(t + rng.normal(0.0, scene.noise_sigma, t.shape), 1e-3)
     return dirs_hit * t[:, None], labels
 
 
@@ -199,7 +193,7 @@ def random_scene(rng: np.random.Generator) -> Scene:
 
 
 def make_dataset(
-    n_scenes: int, config: SensorConfig, seed: int, noise_sigma: float = 0.0
+    n_scenes: int, config: SensorConfig, seed: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Scan n_scenes random scenes; deterministic per seed.
 
@@ -209,10 +203,5 @@ def make_dataset(
     """
     if n_scenes < 1:
         raise ValueError(f"n_scenes must be >= 1, got {n_scenes}")
-    scans = []
-    for seq in np.random.SeedSequence(seed).spawn(n_scenes):
-        geometry_rng = np.random.default_rng(seq)
-        scene = random_scene(geometry_rng)
-        scene.noise_sigma = noise_sigma
-        scans.append(raycast_scan(scene, config, rng=geometry_rng))
-    return scans
+    return [raycast_scan(random_scene(np.random.default_rng(seq)), config)
+            for seq in np.random.SeedSequence(seed).spawn(n_scenes)]

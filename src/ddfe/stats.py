@@ -30,7 +30,6 @@ class DensityReservoir:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.seed = seed
         self.samples = [np.empty(capacity, dtype=np.float64) for _ in range(num_channels)]
         self.seen = [0] * num_channels
         seqs = np.random.SeedSequence(seed).spawn(num_channels)

@@ -13,7 +13,6 @@ import numpy as np
 
 from .io import LABEL_LIMIT, check_cloud, check_labels
 
-DEFAULT_VOXEL_SIZE = 0.20  # meters
 _INT64_LIMIT = 2.0 ** 63  # cell indices must lie in [-2**63, 2**63)
 
 
@@ -28,7 +27,7 @@ class VoxelGrid:
         return self.cells.shape[0]
 
 
-def voxelize(cloud: np.ndarray, voxel_size: float = DEFAULT_VOXEL_SIZE) -> VoxelGrid:
+def voxelize(cloud: np.ndarray, voxel_size: float) -> VoxelGrid:
     """Partition an (N, 3) cloud into cubic voxels represented by cell centers."""
     if voxel_size <= 0:
         raise ValueError(f"voxel_size must be positive, got {voxel_size}")

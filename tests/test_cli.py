@@ -47,18 +47,21 @@ def test_density_single_point_scan_writes_16_bytes(tmp_path, capsys):
     assert csv.read_text().splitlines()[0] == "d10,d30,d50,d70"
 
 
-def test_stats_writes_labeled_clip_params(tmp_path, sim_cfg, capsys):
+def test_stats_prints_clip_params_per_channel(tmp_path, sim_cfg, capsys):
     scans = _simulate(tmp_path, sim_cfg)
-    out = tmp_path / "clip.txt"
+    capsys.readouterr()
+    assert run(["stats", "--sensor", sim_cfg, "--inputs", scans]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "fit clip on 3 scans"
+    assert [line.split(":")[0].strip() for line in lines[1:]] == ["d10", "d30", "d50", "d70"]
+    for line in lines[1:]:
+        fields = dict(field.split("=") for field in line.split(":")[1].split())
+        assert list(fields) == ["P10", "P90", "m", "l"]
+        for value in fields.values():
+            float(value)  # parsable values
+    # stats writes no file, so it takes no output path
     assert run(["stats", "--sensor", sim_cfg, "--inputs", scans,
-                "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 8
-    keys = [line.split(" = ")[0] for line in lines]
-    assert keys == ["m.d10", "l.d10", "m.d30", "l.d30",
-                    "m.d50", "l.d50", "m.d70", "l.d70"]
-    for line in lines:
-        float(line.split(" = ")[1])  # parsable values
+                "--out", str(tmp_path / "clip.txt")]) == 1
 
 
 def test_augment_deterministic(tmp_path, sim_cfg, capsys):
@@ -104,7 +107,6 @@ def test_train_ablation_flags(tmp_path, sim_cfg, capsys):
                 "--seed", "0", "--out", ckpt, "--quiet",
                 "--no-clip", "--no-attn", "--no-density"]) == 0
     tensors = dio.load_checkpoint(ckpt)
-    assert tensors["meta.use_clip"] == 0.0
     assert tensors["meta.use_attention"] == 0.0
     assert tensors["meta.use_density"] == 0.0
     assert "clip.mid" not in tensors
@@ -191,11 +193,8 @@ def test_data_errors_exit_2(tmp_path, capsys):
                     str(scans / "000000.bin"), "--out", str(out)]) == 2
         assert "point index 1" in capsys.readouterr().err
         assert not out.exists()
-        clip = tmp_path / "clip.txt"
-        assert run(["stats", "--sensor", "nuscenes", "--inputs", str(scans),
-                    "--out", str(clip)]) == 2
+        assert run(["stats", "--sensor", "nuscenes", "--inputs", str(scans)]) == 2
         assert "point index 1" in capsys.readouterr().err
-        assert not clip.exists()
 
 
 def test_help_exits_zero(capsys):

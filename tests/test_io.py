@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ddfe import io as dio
 from ddfe import nn
-from ddfe.augment import beam_sample
+from ddfe.augment import AugmentConfig, beam_sample, enhanced_mix3d
 from ddfe.beams import beam_profile, density_for_cloud
 from ddfe.embedding import (
     EmbeddingConfig,
@@ -178,6 +178,7 @@ def test_checkpoint_rejects_malformed(tmp_path):
     (b"ddfe-checkpoint 1\nw -3\n", r"tensor 0 \('w'\): dim 0 must be .*, got '-3'"),
     (b"ddfe-checkpoint 1\n\xffa 2\n", r"tensor 0: non-ASCII byte in header line at offset 18"),
     (b"ddfe-checkpoint 1\nw 0 99999999999999999999\n", r"tensor 'w' at offset 43: "),
+    (b"ddfe-checkpoint 2\na 1\na 1\n", r"tensor 1: duplicate name 'a'"),
 ])
 def test_checkpoint_header_errors_name_tensor_and_field(tmp_path, header, fragment):
     path = tmp_path / "m.ckpt"
@@ -300,13 +301,18 @@ _LABEL_ENTRIES = {
         [(cloud, labels)], SIM, TrainConfig(epochs=1, num_classes=4))),
     "evaluate": (4, lambda cloud, labels, _: evaluate([(cloud, labels)], _MODEL, SIM)),
     "majority_label": (dio.LABEL_LIMIT,
-                       lambda cloud, labels, _: majority_label(voxelize(cloud), labels)),
+                       lambda cloud, labels, _: majority_label(voxelize(cloud, 0.2), labels)),
     "weighted_cross_entropy": (3, lambda cloud, labels, _: nn.weighted_cross_entropy(
         np.zeros((len(cloud), 3)), labels, np.ones(3))),
     "lovasz_softmax": (3, lambda cloud, labels, _: nn.lovasz_softmax(
         np.full((len(cloud), 3), 1.0 / 3.0), labels)),
     "write_labels": (dio.LABEL_LIMIT, lambda cloud, labels, tmp_dir: dio.write_labels(
         labels, tmp_dir / "out.label")),
+    "beam_sample": (dio.LABEL_LIMIT, lambda cloud, labels, _: beam_sample(
+        cloud, labels, SIM, np.arange(8))),
+    "enhanced_mix3d": (dio.LABEL_LIMIT, lambda cloud, labels, _: enhanced_mix3d(
+        (cloud, labels), (cloud, np.zeros(len(cloud), dtype=np.int64)),
+        AugmentConfig(), np.random.default_rng(0))),
 }
 
 
@@ -335,6 +341,13 @@ def test_out_of_range_label_is_named_at_every_label_entry(entry, n, data, tmp_pa
     cloud = np.random.default_rng(n).uniform(1.0, 20.0, size=(n, 3))
     with pytest.raises(ValueError, match=rf"invalid label {labels[i]} at index {i};"):
         call(cloud, labels, tmp_path_factory.getbasetemp())
+
+
+@pytest.mark.parametrize("entry", ["beam_sample", "enhanced_mix3d"])
+def test_augment_rejects_label_count_mismatch(entry):
+    cloud = np.random.default_rng(0).uniform(1.0, 20.0, size=(5, 3))
+    with pytest.raises(ValueError, match="label count 4 does not match point count 5"):
+        _LABEL_ENTRIES[entry][1](cloud, np.zeros(4, dtype=np.int64), None)
 
 
 def test_check_labels_rejects_shape_count_and_dtype():

@@ -281,8 +281,8 @@ def test_adam_aborts_on_non_finite_gradient():
 
 
 def test_lr_schedule():
-    assert nn.lr_schedule(0) == 1e-3
-    assert nn.lr_schedule(10) == pytest.approx(9.043820750088044e-4, rel=1e-12)
+    assert nn.lr_schedule(0, 1e-3, 0.99) == 1e-3
+    assert nn.lr_schedule(10, 1e-3, 0.99) == pytest.approx(9.043820750088044e-4, rel=1e-12)
 
 
 def test_adam_converges_on_quadratic():

@@ -114,19 +114,6 @@ def test_no_point_inside_any_primitive():
         assert not inside.any()
 
 
-def test_range_noise_perturbs_and_requires_rng():
-    scene = wall_scene(10.0)
-    scene.noise_sigma = 0.05
-    with pytest.raises(ValueError, match="rng"):
-        raycast_scan(scene, SIM64)
-    cloud_a, _ = raycast_scan(scene, SIM64, rng=np.random.default_rng(1))
-    cloud_b, _ = raycast_scan(scene, SIM64, rng=np.random.default_rng(1))
-    assert np.array_equal(cloud_a, cloud_b)
-    scene.noise_sigma = 0.0
-    clean, _ = raycast_scan(scene, SIM64)
-    assert not np.allclose(cloud_a, clean)
-
-
 def test_max_range_drops_far_returns():
     scene = wall_scene(10.0)
     scene.max_range = 5.0
