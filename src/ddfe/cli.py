@@ -116,11 +116,14 @@ def _cmd_stats(args) -> None:
 
 
 def _cmd_augment(args) -> None:
+    try:
+        cfg = AugmentConfig(apply_prob=args.prob)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     config = _sensor(args.sensor)
     sample = _load_pair(args.input)
     partner = _load_pair(args.mix)
     rng = np.random.default_rng(args.seed)
-    cfg = AugmentConfig(apply_prob=args.prob)
     cloud, labels = augment_pipeline(sample, config, cfg, rng, pool=lambda: partner)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(

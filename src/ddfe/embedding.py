@@ -446,24 +446,28 @@ def checkpoint_tensors(model: Model) -> dict[str, np.ndarray]:
 
 
 def model_from_tensors(tensors: dict[str, np.ndarray]) -> Model:
+    def get(name: str) -> np.ndarray:
+        if name not in tensors:
+            raise ValueError(f"checkpoint is missing tensor {name!r}")
+        return tensors[name]
+
     config = EmbeddingConfig(
-        num_classes=int(tensors["meta.num_classes"]),
-        voxel_size=float(tensors["meta.voxel_size"]),
-        **{f: bool(tensors[f"meta.{f}"]) for f in _META_FLAGS},
+        num_classes=int(get("meta.num_classes")),
+        voxel_size=float(get("meta.voxel_size")),
+        **{f: bool(get(f"meta.{f}")) for f in _META_FLAGS},
     )
     params = EmbeddingParams(config, np.random.default_rng(0))
     for name, tensor in params.tensors.items():
-        if name not in tensors:
-            raise ValueError(f"checkpoint is missing tensor {name!r}")
-        if tensors[name].shape != tensor.data.shape:
+        stored = get(name)
+        if stored.shape != tensor.data.shape:
             raise ValueError(
-                f"checkpoint tensor {name!r} has shape {tensors[name].shape}, "
+                f"checkpoint tensor {name!r} has shape {stored.shape}, "
                 f"expected {tensor.data.shape}"
             )
-        tensor.data = tensors[name].copy()
+        tensor.data = stored.copy()
     clip = None
     if "clip.mid" in tensors:
-        clip = ClipParams.from_mid_span(tensors["clip.mid"], tensors["clip.half_span"])
+        clip = ClipParams.from_mid_span(tensors["clip.mid"], get("clip.half_span"))
     return Model(config, params, clip)
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 SCAN_RECORD_BYTES = 16  # x, y, z, intensity as float32
+DENSITY_CHANNELS = 4  # one per beams.DEFAULT_SIGMAS (a test pins the two)
 DENSITY_CSV_HEADER = "d10,d30,d50,d70"
 LABEL_LIMIT = 1 << 16  # .label files keep class ids in the low 16 bits
 
@@ -99,13 +100,13 @@ def write_density(values: np.ndarray, path) -> None:
         fh.write(values.astype("<f4").tobytes())
 
 
-def read_density(path, num_channels: int = 4) -> np.ndarray:
-    values = _read_records(path, 4 * num_channels, "<f4")
+def read_density(path) -> np.ndarray:
+    values = _read_records(path, 4 * DENSITY_CHANNELS, "<f4")
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        row = bad[0] // num_channels
+        row = bad[0] // DENSITY_CHANNELS
         raise ValueError(f"non-finite density at offset {4 * bad[0]} (row {row})")
-    return values.reshape(-1, num_channels).astype(np.float64)
+    return values.reshape(-1, DENSITY_CHANNELS).astype(np.float64)
 
 
 def write_density_csv(values: np.ndarray, path) -> None:
@@ -132,10 +133,12 @@ def read_density_csv(path) -> np.ndarray:
             row = [float(p) for p in line.split(",")]
         except ValueError:
             row = []
-        if len(row) != 4 or not np.isfinite(row).all():
-            raise ValueError(f"line {lineno}: expected 4 finite values, got {line!r}")
+        if len(row) != DENSITY_CHANNELS or not np.isfinite(row).all():
+            raise ValueError(
+                f"line {lineno}: expected {DENSITY_CHANNELS} finite values, got {line!r}"
+            )
         rows.append(row)
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 4)
+    return np.asarray(rows, dtype=np.float64).reshape(-1, DENSITY_CHANNELS)
 
 
 # --- key = value configs --------------------------------------------------

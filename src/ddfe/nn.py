@@ -109,20 +109,25 @@ def linear(x, weights, bias) -> Tensor:
     def backward(g):
         return g @ weights.data.T, x.data.T @ g, g.sum(axis=0)
 
-    return Tensor(x.data @ weights.data + bias.data, parents=(x, weights, bias),
-                  backward_fn=backward)
+    y = x.data @ weights.data
+    y += bias.data
+    return Tensor(y, parents=(x, weights, bias), backward_fn=backward)
 
 
 def relu(x) -> Tensor:
+    """max(x, 0), with NaN mapped to +0.0 and -0.0 to +0.0."""
     x = as_tensor(x)
-    mask = x.data > 0
-    return Tensor(np.where(mask, x.data, 0.0), parents=(x,),
-                  backward_fn=lambda g: (g * mask,))
+    y = np.fmax(x.data, 0.0)  # fmax drops NaN; np.maximum would keep it
+    y += 0.0  # -0.0 -> +0.0
+    return Tensor(y, parents=(x,), backward_fn=lambda g: (g * (y > 0),))
 
 
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    y = 1.0 / (1.0 + np.exp(-x.data))
+    y = np.negative(x.data)
+    np.exp(y, out=y)
+    y += 1.0
+    np.reciprocal(y, out=y)
     return Tensor(y, parents=(x,), backward_fn=lambda g: (g * y * (1.0 - y),))
 
 
@@ -178,7 +183,7 @@ def concat(parts, axis: int = 1) -> Tensor:
 
 
 class SegmentMap:
-    """Point-to-segment assignment with precomputed grouping structure.
+    """Validated point-to-segment assignment with per-segment point counts.
 
     Every segment in [0, num_segments) must be non-empty.  Built once per
     cloud and reused by every segment reduction over it.
@@ -197,9 +202,6 @@ class SegmentMap:
         self.point_to_segment = seg
         self.num_segments = num_segments
         self.counts = counts
-        # Stable sort keeps original point order within each segment.
-        self.order = np.argsort(seg, kind="stable")
-        self.starts = np.searchsorted(seg[self.order], np.arange(num_segments))
 
 
 def _as_segment_map(seg, num_segments) -> SegmentMap:
@@ -226,6 +228,11 @@ def segment_mean(x, seg, num_segments: int | None = None) -> Tensor:
     return Tensor(out, parents=(x,), backward_fn=backward)
 
 
+def _segment_cells(smap: SegmentMap, d: int) -> np.ndarray:
+    """Flat (segment, channel) cell of every entry of an (N, d) array."""
+    return (smap.point_to_segment[:, None] * d + np.arange(d)).ravel()
+
+
 def segment_max(x, seg, num_segments: int | None = None) -> Tensor:
     """Per-segment column maxima of an (N, D) tensor -> (M, D).
 
@@ -234,21 +241,17 @@ def segment_max(x, seg, num_segments: int | None = None) -> Tensor:
     """
     x = as_tensor(x)
     smap = _as_segment_map(seg, num_segments)
-    order, starts = smap.order, smap.starts
-    seg_sorted = smap.point_to_segment[order]
     n, d = x.data.shape
     m = smap.num_segments
-    vals = x.data[order]
-    out = np.maximum.reduceat(vals, starts, axis=0)
-    # First attaining point per segment/channel: among the maxima, the one
-    # with the lowest position in segment-sorted (== original) order wins.
-    is_max = vals == out[seg_sorted]
-    rank_key = np.where(is_max, n - np.arange(n)[:, None], 0)
-    argmax_sorted = n - np.maximum.reduceat(rank_key, starts, axis=0)
-    argmax = order[argmax_sorted]
+    out = np.full((m, d), -np.inf)
+    np.maximum.at(out.reshape(-1), _segment_cells(smap, d), x.data.reshape(-1))
 
     def backward(g):
-        flat = argmax.ravel() * d + np.broadcast_to(np.arange(d), (m, d)).ravel()
+        # First attaining point: the lowest point index equal to the maximum.
+        hits = np.where(x.data == out[smap.point_to_segment], np.arange(n)[:, None], n)
+        first = np.full(m * d, n)
+        np.minimum.at(first, _segment_cells(smap, d), hits.reshape(-1))
+        flat = first * d + np.tile(np.arange(d), m)
         return (np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d),)
 
     return Tensor(out, parents=(x,), backward_fn=backward)

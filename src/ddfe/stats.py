@@ -124,4 +124,9 @@ def soft_clip(embedding: np.ndarray, clip: ClipParams) -> np.ndarray:
     the bound itself in floating point.
     """
     values = np.asarray(embedding, dtype=np.float64)
-    return np.tanh((values - clip.mid) / clip.half_span) * clip.half_span + clip.mid
+    out = values - clip.mid
+    out /= clip.half_span
+    np.tanh(out, out=out)
+    out *= clip.half_span
+    out += clip.mid
+    return out

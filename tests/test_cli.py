@@ -167,6 +167,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert run(["train", "--sensor", "nuscenes", "--data", str(tmp_path),
                     flag, "0", "--out", str(tmp_path / "m.ckpt")]) == 1
         assert f"{field} must be" in capsys.readouterr().err
+    missing = str(tmp_path / "nope.bin")
+    for prob in ("2", "-0.5", "nan"):
+        assert run(["augment", "--sensor", "nuscenes", "--input", missing,
+                    "--mix", missing, "--prob", prob, "--out", str(tmp_path)]) == 1
+        assert "apply_prob must be in [0, 1]" in capsys.readouterr().err
 
 
 def test_data_errors_exit_2(tmp_path, capsys):

@@ -240,6 +240,12 @@ def test_model_from_tensors_validates(tmp_path):
     del missing["fuse.w"]
     with pytest.raises(ValueError, match="missing tensor"):
         model_from_tensors(missing)
+    for name in ("meta.num_classes", "meta.voxel_size", "meta.use_attention",
+                 "meta.use_density", "clip.half_span"):
+        missing = dict(tensors)
+        del missing[name]
+        with pytest.raises(ValueError, match=f"checkpoint is missing tensor '{name}'"):
+            model_from_tensors(missing)
     wrong = dict(tensors)
     wrong["fuse.w"] = np.zeros((2, 2))
     with pytest.raises(ValueError, match="shape"):

@@ -1,9 +1,23 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ddfe import nn
+
+# Values where float formulas tend to part ways: signed zeros, NaN, infinities,
+# subnormals, and the edges of exp's range.
+_SPECIALS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+             2.2250738585072014e-308, 709.8, -745.2]
+
+
+def _floats(shape):
+    return hnp.arrays(np.float64, shape,
+                      elements=st.one_of(st.floats(), st.sampled_from(_SPECIALS)))
 
 
 def scalarize(y: nn.Tensor, coeffs: np.ndarray) -> nn.Tensor:
@@ -42,7 +56,35 @@ def test_linear_gradients_match_finite_differences():
     assert err < 1e-6
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(0, 6), k=st.integers(1, 5), j=st.integers(1, 5))
+def test_linear_is_bitwise_x_at_w_plus_b(data, n, k, j):
+    x, w, b = (data.draw(_floats(shape)) for shape in ((n, k), (k, j), (j,)))
+    with np.errstate(all="ignore"):
+        expected = x @ w + b
+        assert nn.linear(x, w, b).data.tobytes() == expected.tobytes()
+
+
 # --- activations ------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_floats(st.tuples(st.integers(0, 6), st.integers(1, 6))), data=st.data())
+def test_relu_and_sigmoid_are_bitwise_the_reference_formulas(x, data):
+    coeffs = data.draw(hnp.arrays(np.float64, x.shape, elements=st.floats(-4, 4)))
+    with np.errstate(all="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-x))
+        for op, expected, expected_grad in (
+            (nn.relu, np.where(x > 0, x, 0.0), coeffs * (x > 0)),
+            (nn.sigmoid, sig, coeffs * sig * (1.0 - sig)),
+        ):
+            xt = nn.Tensor(x.copy(), requires_grad=True)
+            y = op(xt)
+            assert y.data.tobytes() == expected.tobytes()
+            nn.tensor_sum(nn.multiply(y, nn.Tensor(coeffs))).backward()
+            assert xt.grad.tobytes() == expected_grad.tobytes()
+
+
 
 
 def test_sigmoid_value_and_derivative_at_zero():
@@ -113,6 +155,43 @@ def test_segment_max_routes_gradient_to_first_argmax():
     loss = nn.tensor_sum(nn.segment_max(x, seg, 1))
     loss.backward()
     assert np.array_equal(x.grad, [[0.0], [1.0], [0.0], [0.0]])
+
+
+def _segment_max_reference(x, seg, m):
+    """Loop-by-loop maxima and, per segment and channel, the first point
+    (in original order) attaining it."""
+    out = np.empty((m, x.shape[1]))
+    owner = np.empty((m, x.shape[1]), dtype=int)
+    for s in range(m):
+        members = [i for i in range(x.shape[0]) if seg[i] == s]
+        for c in range(x.shape[1]):
+            # folded with np.maximum, which keeps the later of two equal zeros
+            out[s, c] = functools.reduce(np.maximum, (x[i, c] for i in members))
+            owner[s, c] = next(i for i in members if x[i, c] == out[s, c])
+    return out, owner
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(1, 5), d=st.integers(1, 9))
+def test_segment_max_matches_bruteforce_values_and_routing(data, m, d):
+    # every segment non-empty, points interleaved across segments
+    extra = data.draw(st.lists(st.integers(0, m - 1), max_size=20))
+    seg = np.array(data.draw(st.permutations(list(range(m)) + extra)))
+    # a small palette forces ties, signed zeros among them
+    palette = st.sampled_from([-np.inf, -2.0, -0.0, 0.0, 1.5, 3.0, np.inf])
+    x = data.draw(hnp.arrays(np.float64, (seg.size, d),
+                             elements=st.one_of(palette, st.floats(-1e3, 1e3))))
+    expected, owner = _segment_max_reference(x, seg, m)
+    xt = nn.Tensor(x, requires_grad=True)
+    y = nn.segment_max(xt, nn.SegmentMap(seg, m))
+    assert y.data.tobytes() == expected.tobytes()
+    coeffs = np.arange(1.0, m * d + 1).reshape(m, d)  # distinct, so misrouting shows
+    nn.tensor_sum(nn.multiply(y, nn.Tensor(coeffs))).backward()
+    expected_grad = np.zeros_like(x)
+    for s in range(m):
+        for c in range(d):
+            expected_grad[owner[s, c], c] = coeffs[s, c]
+    assert np.array_equal(xt.grad, expected_grad)
 
 
 def test_segment_reduce_gradients_match_finite_differences():

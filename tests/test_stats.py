@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ddfe.stats import (
     HALF_SPAN_FLOOR,
@@ -152,6 +155,22 @@ def test_soft_clip_saturates_toward_bound():
     out = soft_clip(clip.mid[None, :] + 1e6 * clip.half_span[None, :], clip)
     assert np.all(out[0] <= clip.mid + clip.half_span)
     assert np.allclose(out[0], clip.mid + clip.half_span)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.just(4)),
+                      elements=st.one_of(st.floats(), st.sampled_from(
+                          [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324]))),
+    mid=hnp.arrays(np.float64, 4, elements=st.floats(-1e3, 1e3)),
+    half_span=hnp.arrays(np.float64, 4, elements=st.one_of(
+        st.floats(HALF_SPAN_FLOOR, 1e3), st.just(HALF_SPAN_FLOOR))),
+)
+def test_soft_clip_is_bitwise_the_tanh_formula(values, mid, half_span):
+    clip = ClipParams.from_mid_span(mid, half_span)
+    with np.errstate(all="ignore"):
+        expected = np.tanh((values - mid) / half_span) * half_span + mid
+        assert soft_clip(values, clip).tobytes() == expected.tobytes()
 
 
 def test_soft_clip_strict_bounds_on_random_inputs():
