@@ -39,7 +39,6 @@ from .sensors import (
     load_sensor_config,
     project,
     resolve_sensor,
-    save_sensor_config,
     to_spherical,
     unproject,
 )

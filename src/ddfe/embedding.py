@@ -88,10 +88,9 @@ class EmbeddingParams:
     def parameters(self) -> list[nn.Tensor]:
         return list(self.tensors.values())
 
-    def _mlp2(self, x, prefix: str, gate: bool = False) -> nn.Tensor:
+    def _mlp2(self, x, prefix: str) -> nn.Tensor:
         h = nn.relu(nn.linear(x, self[f"{prefix}.w1"], self[f"{prefix}.b1"]))
-        y = nn.linear(h, self[f"{prefix}.w2"], self[f"{prefix}.b2"])
-        return nn.sigmoid(y) if gate else y
+        return nn.linear(h, self[f"{prefix}.w2"], self[f"{prefix}.b2"])
 
 
 @dataclass
@@ -143,64 +142,40 @@ def encode_scene(
     )
 
 
-def clipped_density(scene: EncodedScene, clip: ClipParams | None) -> np.ndarray:
-    if clip is None:
-        return scene.density_raw
-    return soft_clip(scene.density_raw, clip)
-
-
-def encode_voxel_features(center_feats: np.ndarray, params: EmbeddingParams) -> nn.Tensor:
-    """Voxel-wise features from the (M, 4) center features of encode_scene."""
-    feats = np.asarray(center_feats, dtype=np.float64)
-    return params._mlp2(nn.Tensor(feats), "voxel_mlp")
-
-
-def encode_point_features(offsets, params: EmbeddingParams) -> nn.Tensor:
-    """Point-wise features from intra-voxel offsets (in half-voxel units)."""
-    scaled = np.asarray(offsets, dtype=np.float64) * (2.0 / params.config.voxel_size)
-    return params._mlp2(nn.Tensor(scaled), "point_head")
-
-
-def point_attention(density_clipped, point_feats: nn.Tensor,
-                    params: EmbeddingParams, use_attention: bool = True) -> nn.Tensor:
-    """Gate point features by a sigmoid projection of their clipped density."""
-    if not use_attention:
-        return point_feats
-    gate = params._mlp2(nn.Tensor(density_clipped * DENSITY_SCALE),
-                        "attn_point", gate=True)
-    return nn.multiply(gate, point_feats)
-
-
-def voxel_fuse(density_clipped, segments: nn.SegmentMap, voxel_feats: nn.Tensor,
-               point_feats_gated: nn.Tensor, params: EmbeddingParams,
-               use_attention: bool = True) -> nn.Tensor:
-    """Fused per-voxel features: gated voxel stream + max-pooled point stream.
-
-    The voxel gate sees the mean clipped density of the member points; the
-    pooled stream is the channel-wise max of the (gated) point features.
-    """
-    if use_attention:
-        dc_voxel = nn.segment_mean(nn.Tensor(density_clipped * DENSITY_SCALE), segments)
-        gate = params._mlp2(dc_voxel, "attn_voxel", gate=True)
-        gated = nn.multiply(gate, voxel_feats)
-    else:
-        gated = voxel_feats
-    pooled = nn.segment_max(point_feats_gated, segments)
-    return nn.linear(nn.concat([gated, pooled], axis=1),
-                     params["fuse.w"], params["fuse.b"])
-
-
 def forward_encoded(scene: EncodedScene, params: EmbeddingParams,
                     clip: ClipParams | None) -> tuple[nn.Tensor, nn.Tensor]:
-    """Differentiable forward pass on a pre-encoded scene."""
-    config = params.config
-    dc = clipped_density(scene, clip)
-    voxel_feats = encode_voxel_features(scene.center_feats, params)
-    point_feats = encode_point_features(scene.offsets, params)
-    point_gated = point_attention(dc, point_feats, params, config.use_attention)
-    fused = voxel_fuse(dc, scene.segments, voxel_feats, point_gated, params,
-                       config.use_attention)
-    return point_gated, fused
+    """Differentiable DDFE forward pass on a pre-encoded scene.
+
+    Returns the (gated) point features and the fused voxel features: the
+    fuse layer over the (gated) voxel stream and the channel-wise max of the
+    point stream over each voxel's points.  With attention on, the point
+    gate sees each point's clipped density and the voxel gate the mean
+    clipped density of its points.
+    """
+    density = scene.density_raw if clip is None else soft_clip(scene.density_raw, clip)
+    density = nn.Tensor(density * DENSITY_SCALE)
+    voxel_feats = params._mlp2(nn.Tensor(scene.center_feats), "voxel_mlp")
+    point_feats = params._mlp2(
+        nn.Tensor(scene.offsets * (2.0 / params.config.voxel_size)), "point_head")
+    if params.config.use_attention:
+        point_gate = nn.sigmoid(params._mlp2(density, "attn_point"))
+        point_feats = nn.multiply(point_gate, point_feats)
+        voxel_gate = nn.sigmoid(params._mlp2(nn.segment_mean(density, scene.segments),
+                                             "attn_voxel"))
+        voxel_feats = nn.multiply(voxel_gate, voxel_feats)
+    pooled = nn.segment_max(point_feats, scene.segments)
+    fused = nn.linear(nn.concat([voxel_feats, pooled], axis=1),
+                      params["fuse.w"], params["fuse.b"])
+    return point_feats, fused
+
+
+def _logits(scene: EncodedScene, params: EmbeddingParams,
+            clip: ClipParams | None) -> tuple[nn.Tensor, nn.Tensor]:
+    """Point-classifier logits (N, K) and voxel-head logits (M, K)."""
+    point_feats, fused = forward_encoded(scene, params, clip)
+    point_logits = nn.linear(point_feats, params["point_classifier.w"],
+                             params["point_classifier.b"])
+    return point_logits, params._mlp2(fused, "toy_head")
 
 
 # --- training -------------------------------------------------------------
@@ -208,7 +183,7 @@ def forward_encoded(scene: EncodedScene, params: EmbeddingParams,
 
 @dataclass
 class TrainConfig:
-    """Training hyperparameters; serializable as a key=value text file.
+    """Training hyperparameters; `from_file` reads them from a key=value file.
 
     base_lr defaults above the usual 1e-3: a desk-scale run sees only a few
     hundred optimizer steps, so the schedule starts higher while keeping the
@@ -234,11 +209,6 @@ class TrainConfig:
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
         return cls(**parse_key_values(read_ascii(path), _TRAIN_CONFIG_TYPES))
-
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            for key in _TRAIN_CONFIG_TYPES:
-                fh.write(f"{key} = {getattr(self, key)}\n")
 
 
 _TRAIN_CONFIG_TYPES = {
@@ -272,10 +242,7 @@ class Model:
 def scene_loss(scene: EncodedScene, model_params: EmbeddingParams,
                clip: ClipParams | None, class_weights: np.ndarray) -> nn.Tensor:
     """Equal-weighted point and voxel losses (Lovasz + weighted CE each)."""
-    point_gated, fused = forward_encoded(scene, model_params, clip)
-    p = model_params
-    point_logits = nn.linear(point_gated, p["point_classifier.w"], p["point_classifier.b"])
-    voxel_logits = p._mlp2(fused, "toy_head")
+    point_logits, voxel_logits = _logits(scene, model_params, clip)
     loss = nn.lovasz_softmax(nn.softmax(point_logits), scene.labels)
     loss = loss + nn.weighted_cross_entropy(point_logits, scene.labels, class_weights)
     loss = loss + nn.lovasz_softmax(nn.softmax(voxel_logits), scene.voxel_labels)
@@ -309,7 +276,9 @@ def train(
     )
 
     scenes = []
-    for cloud, labels in dataset:
+    for i, (cloud, labels) in enumerate(dataset):
+        if len(cloud) == 0:
+            raise ValueError(f"scan {i} of the dataset is empty")
         labels = check_labels(labels, len(cloud), hyper.num_classes)
         scenes.append(encode_scene(cloud, profile, proj, hyper.voxel_size,
                                    labels, use_density))
@@ -355,11 +324,9 @@ def train(
 
 def point_predictions(scene: EncodedScene, model: Model) -> np.ndarray:
     """Per-point class: argmax of point logits plus the voxel head's logits."""
-    point_gated, fused = forward_encoded(scene, model.params, model.clip)
-    p = model.params
-    point_logits = nn.linear(point_gated, p["point_classifier.w"], p["point_classifier.b"]).data
-    voxel_logits = p._mlp2(fused, "toy_head").data
-    return np.argmax(point_logits + voxel_logits[scene.grid.point_to_voxel], axis=1)
+    point_logits, voxel_logits = _logits(scene, model.params, model.clip)
+    return np.argmax(point_logits.data + voxel_logits.data[scene.grid.point_to_voxel],
+                     axis=1)
 
 
 def confusion_matrix(pred: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:

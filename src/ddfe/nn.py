@@ -29,9 +29,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -44,7 +41,7 @@ class Tensor:
         return Tensor(
             self.data + other.data,
             parents=(self, other),
-            backward_fn=lambda g: (g, g),
+            backward_fn=lambda g: (g, g.copy()),  # one buffer per parent
         )
 
     def __mul__(self, scalar: float):
@@ -76,6 +73,9 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
+        for node in topo:  # inner gradients belong to this pass only
+            if node._backward_fn is not None:
+                node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward_fn is None or node.grad is None:
@@ -84,8 +84,7 @@ class Tensor:
                 if g is None:
                     continue
                 if parent.grad is None:
-                    # copy: backward_fns may hand the same buffer to two parents
-                    parent.grad = np.array(g, dtype=np.float64)
+                    parent.grad = g  # every backward_fn returns a buffer per parent
                 else:
                     parent.grad += g
 
@@ -251,6 +250,11 @@ def segment_max(x, seg, num_segments: int | None = None) -> Tensor:
         hits = np.where(x.data == out[smap.point_to_segment], np.arange(n)[:, None], n)
         first = np.full(m * d, n)
         np.minimum.at(first, _segment_cells(smap, d), hits.reshape(-1))
+        unattained = np.flatnonzero(first == n)  # only a NaN maximum is never attained
+        if unattained.size:
+            segment, channel = divmod(int(unattained[0]), d)
+            raise ValueError(
+                f"segment_max: NaN feature in segment {segment}, channel {channel}")
         flat = first * d + np.tile(np.arange(d), m)
         return (np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d),)
 
@@ -323,6 +327,8 @@ def lovasz_softmax(probs, labels) -> Tensor:
             f"unnormalized rows: row {off[0]} sums to {row_sums[off[0]]!r}"
         )
     labels = check_labels(labels, p.shape[0], p.shape[1])
+    if labels.size == 0:
+        raise ValueError("lovasz_softmax needs at least one row")
 
     present = np.unique(labels)
     total = 0.0

@@ -204,11 +204,6 @@ def load_sensor_config(path) -> SensorConfig:
     return parse_sensor_config(read_ascii(path))
 
 
-def save_sensor_config(config: SensorConfig, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("".join(f"{key} = {getattr(config, key)}\n" for key in _CONFIG_TYPES))
-
-
 def resolve_sensor(spec: str) -> SensorConfig:
     """Resolve a preset name or a config-file path to a SensorConfig."""
     if spec.lower() in PRESETS:

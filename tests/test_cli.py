@@ -1,17 +1,23 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from ddfe import io as dio
 from ddfe.cli import run
-from ddfe.sensors import SensorConfig, save_sensor_config
+
+
+def _sensor_text(name, v_beams):
+    return (f"name = {name}\nh_beams = 128\nv_beams = {v_beams}\n"
+            "fov_min_deg = -20.0\nfov_max_deg = 4.0\n")
 
 
 @pytest.fixture()
 def sim_cfg(tmp_path):
     path = tmp_path / "sim16.cfg"
-    save_sensor_config(SensorConfig("sim16", 128, 16, -20.0, 4.0), path)
+    path.write_text(_sensor_text("sim16", 16))
     return str(path)
 
 
@@ -135,7 +141,7 @@ def test_report_density_match_prints_anchor_ratio(capsys):
 def test_report_feature_similarity(tmp_path, sim_cfg, capsys):
     # scans for two sensors of the same scenes, dirs named after the sensors
     cfg32_path = tmp_path / "sim8.cfg"
-    save_sensor_config(SensorConfig("sim8", 128, 8, -20.0, 4.0), cfg32_path)
+    cfg32_path.write_text(_sensor_text("sim8", 8))
     data = str(tmp_path / "fs")
     assert run(["simulate", "--sensor", sim_cfg, "--scenes", "2", "--seed", "5",
                 "--out", os.path.join(data, "sim16")]) == 0
@@ -200,6 +206,20 @@ def test_data_errors_exit_2(tmp_path, capsys):
         assert not out.exists()
         assert run(["stats", "--sensor", "nuscenes", "--inputs", str(scans)]) == 2
         assert "point index 1" in capsys.readouterr().err
+
+
+def test_train_on_an_empty_scan_exits_2_naming_it(tmp_path, sim_cfg):
+    scans = _simulate(tmp_path, sim_cfg, scenes=1)
+    for ext in (".bin", ".label"):
+        open(os.path.join(scans, "000001" + ext), "wb").close()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddfe", "train", "--sensor", sim_cfg, "--data", scans,
+         "--epochs", "1", "--out", str(tmp_path / "m.ckpt"), "--quiet"],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 2
+    assert "scan 1 of the dataset is empty" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_help_exits_zero(capsys):

@@ -4,27 +4,25 @@ import pytest
 from ddfe import nn
 from ddfe.beams import beam_profile
 from ddfe.embedding import (
+    DENSITY_SCALE,
     EmbeddingConfig,
     EmbeddingParams,
     TrainConfig,
     checkpoint_tensors,
     confusion_matrix,
-    encode_point_features,
     encode_scene,
-    encode_voxel_features,
     evaluate,
     feature_similarity_matrix,
     forward_encoded,
     inverse_frequency_weights,
     iou_scores,
     model_from_tensors,
-    point_attention,
     scene_loss,
     train,
 )
 from ddfe.sensors import ProjectionParams, SensorConfig
 from ddfe.simulate import make_dataset
-from ddfe.stats import ClipParams
+from ddfe.stats import ClipParams, soft_clip
 from ddfe import io as dio
 
 SIM = SensorConfig("sim16", 128, 16, -20.0, 4.0)
@@ -94,39 +92,82 @@ def test_full_pipeline_permutation_equivariance(profile):
     assert np.allclose(fv_b.data, fv_a.data[align], atol=1e-12)
 
 
+def _mlp2(params, x, prefix):
+    h = nn.relu(nn.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    return nn.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+
+
+def _reference_forward(scene, params, clip):
+    """The DDFE forward pass composed op by op: point and voxel MLPs, the two
+    density gates, max pooling and the fuse layer."""
+    dc = scene.density_raw if clip is None else soft_clip(scene.density_raw, clip)
+    voxel = _mlp2(params, nn.Tensor(scene.center_feats), "voxel_mlp")
+    point = _mlp2(params, nn.Tensor(scene.offsets * (2.0 / params.config.voxel_size)),
+                  "point_head")
+    if params.config.use_attention:
+        gate = nn.sigmoid(_mlp2(params, nn.Tensor(dc * DENSITY_SCALE), "attn_point"))
+        point = nn.multiply(gate, point)
+        dc_voxel = nn.segment_mean(nn.Tensor(dc * DENSITY_SCALE), scene.segments)
+        voxel = nn.multiply(nn.sigmoid(_mlp2(params, dc_voxel, "attn_voxel")), voxel)
+    pooled = nn.segment_max(point, scene.segments)
+    fused = nn.linear(nn.concat([voxel, pooled], axis=1), params["fuse.w"], params["fuse.b"])
+    return point, fused
+
+
+@pytest.mark.parametrize("use_clip", [True, False])
+@pytest.mark.parametrize("use_attention", [True, False])
+def test_forward_is_bitwise_the_reference_composition(small_scene, use_clip, use_attention):
+    clip = _clip() if use_clip else None
+    runs = []
+    for forward in (forward_encoded, _reference_forward):
+        params = _params(seed=4, use_attention=use_attention)
+        point, fused = forward(small_scene, params, clip)
+        (nn.tensor_sum(point) + nn.tensor_sum(fused)).backward()
+        runs.append((point.data.tobytes(), fused.data.tobytes(),
+                     [p.grad.tobytes() for p in params.parameters() if p.grad is not None]))
+    assert runs[0] == runs[1]
+
+
 def test_gates_keep_feature_magnitudes(small_scene):
-    params = _params()
-    point_feats = encode_point_features(small_scene.offsets, params)
-    gated = point_attention(small_scene.density_raw, point_feats, params)
-    assert np.all(np.abs(gated.data) <= np.abs(point_feats.data))
-    nonzero = point_feats.data != 0
-    assert np.all(np.abs(gated.data[nonzero]) < np.abs(point_feats.data[nonzero]))
+    gated, _ = forward_encoded(small_scene, _params(seed=0, use_attention=True), None)
+    ungated, _ = forward_encoded(small_scene, _params(seed=0, use_attention=False), None)
+    assert np.all(np.abs(gated.data) <= np.abs(ungated.data))
+    nonzero = ungated.data != 0
+    assert np.all(np.abs(gated.data[nonzero]) < np.abs(ungated.data[nonzero]))
+
+
+def _saturate(params, prefix):
+    params[f"{prefix}.w2"].data[:] = 0.0
+    params[f"{prefix}.b2"].data[:] = 1e3  # sigmoid -> 1.0 exactly in float
 
 
 def test_attention_disabled_passes_features_through(small_scene):
-    params = _params()
-    point_feats = encode_point_features(small_scene.offsets, params)
-    gated = point_attention(small_scene.density_raw, point_feats, params,
-                            use_attention=False)
-    assert gated is point_feats
+    # attention off is the same, bit for bit, as both gates saturated at 1
+    saturated = _params(seed=0, use_attention=True)
+    _saturate(saturated, "attn_point")
+    _saturate(saturated, "attn_voxel")
+    on = forward_encoded(small_scene, saturated, _clip())
+    off = forward_encoded(small_scene, _params(seed=0, use_attention=False), _clip())
+    assert on[0].data.tobytes() == off[0].data.tobytes()
+    assert on[1].data.tobytes() == off[1].data.tobytes()
 
 
 def test_zero_weight_voxel_mlp_broadcasts_bias(small_scene):
-    params = _params()
-    for name in ("voxel_mlp.w1", "voxel_mlp.w2", "voxel_mlp.b1"):
+    params = _params(use_attention=False)
+    for name in ("voxel_mlp.w1", "voxel_mlp.w2", "voxel_mlp.b1", "fuse.w", "fuse.b"):
         params[name].data[:] = 0.0
     params["voxel_mlp.b2"].data[:] = np.arange(16.0)
-    out = encode_voxel_features(small_scene.center_feats, params)
-    assert np.allclose(out.data, np.arange(16.0))
+    params["fuse.w"].data[:16, :16] = np.eye(16)  # fused[:, :16] reads the voxel stream
+    _, fused = forward_encoded(small_scene, params, _clip())
+    assert np.allclose(fused.data[:, :16], np.arange(16.0))
 
 
 def test_saturated_gate_is_identity(small_scene):
-    params = _params()
-    params["attn_point.w2"].data[:] = 0.0
-    params["attn_point.b2"].data[:] = 1e3  # sigmoid -> 1.0 exactly in float
-    point_feats = encode_point_features(small_scene.offsets, params)
-    gated = point_attention(small_scene.density_raw, point_feats, params)
-    assert np.array_equal(gated.data, point_feats.data)
+    params = _params(seed=0, use_attention=True)
+    _saturate(params, "attn_point")
+    gated, _ = forward_encoded(small_scene, params, None)
+    ungated, _ = forward_encoded(small_scene, _params(seed=0, use_attention=False), None)
+    assert np.array_equal(gated.data, ungated.data)
 
 
 def test_clip_identity_point_matches_unclipped(profile):
@@ -205,6 +246,9 @@ def test_train_validates_labels_and_empty_dataset():
     cloud = np.array([[5.0, 0.0, -1.0]])
     with pytest.raises(ValueError, match="labels"):
         train([(cloud, np.array([9]))], SIM, TrainConfig(epochs=1, num_classes=4))
+    empty_scan = (np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+    with pytest.raises(ValueError, match="scan 1 of the dataset is empty"):
+        train([(cloud, np.array([0])), empty_scan], SIM, TrainConfig(epochs=1))
 
 
 def test_checkpoint_round_trip_preserves_model(tmp_path, small_scene):
@@ -256,7 +300,8 @@ def test_train_config_file_round_trip(tmp_path):
     cfg = TrainConfig(epochs=7, batch_size=3, base_lr=0.005, lr_decay=0.98,
                       voxel_size=0.1, seed=9, num_classes=5)
     path = tmp_path / "train.cfg"
-    cfg.to_file(path)
+    path.write_text("epochs = 7\nbatch_size = 3\nbase_lr = 0.005\nlr_decay = 0.98\n"
+                    "voxel_size = 0.1\nseed = 9\nnum_classes = 5\n")
     assert TrainConfig.from_file(path) == cfg
     path.write_text("bogus = 3\n")
     with pytest.raises(ValueError, match="line 1: unknown key 'bogus'"):

@@ -214,6 +214,15 @@ def test_segment_map_rejects_empty_segment():
         nn.segment_reduce(np.zeros((2, 1)), np.array([0, 1]), "median", 2)
 
 
+def test_segment_max_backward_names_nan_segment_and_channel():
+    x = nn.Tensor(np.array([[1.0, 0.0], [0.0, 3.0], [2.0, np.nan]]), requires_grad=True)
+    with np.errstate(invalid="ignore"):
+        y = nn.segment_max(x, np.array([0, 0, 1]), 2)
+    assert np.isnan(y.data[1, 1])  # the forward pass stays check-free
+    with pytest.raises(ValueError, match="NaN feature in segment 1, channel 1"):
+        nn.tensor_sum(y).backward()
+
+
 # --- weighted cross-entropy ---------------------------------------------------
 
 
@@ -322,6 +331,11 @@ def test_lovasz_rejects_unnormalized_rows():
         nn.lovasz_softmax(np.array([[0.5, 0.6]]), np.array([0]))
 
 
+def test_lovasz_rejects_zero_rows():
+    with pytest.raises(ValueError, match="at least one row"):
+        nn.lovasz_softmax(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+
+
 def test_lovasz_gradient_through_softmax():
     rng = np.random.default_rng(8)
     logits = nn.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
@@ -403,6 +417,26 @@ def test_parameter_reuse_accumulates_gradient():
     loss = nn.tensor_sum(y1 + y2)
     loss.backward()
     assert w.grad[0, 0] == pytest.approx(6.0)
+
+
+def test_add_gives_each_parent_its_own_gradient():
+    a = nn.Tensor(np.ones((2, 3)), requires_grad=True)
+    b = nn.Tensor(np.ones((2, 3)), requires_grad=True)
+    nn.tensor_sum(a + b).backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    assert np.array_equal(a.grad, np.ones((2, 3)))
+    assert np.array_equal(b.grad, np.ones((2, 3)))
+    x = nn.Tensor(np.array([[1.5, -2.0]]), requires_grad=True)
+    nn.tensor_sum(x + x).backward()
+    assert np.array_equal(x.grad, [[2.0, 2.0]])
+
+
+def test_second_backward_accumulates_only_leaf_gradients():
+    x = nn.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    loss = nn.tensor_sum(x + nn.Tensor(np.zeros((1, 2))))
+    loss.backward()
+    loss.backward()
+    assert np.array_equal(x.grad, [[2.0, 2.0]])
 
 
 def test_backward_requires_scalar():

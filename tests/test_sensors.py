@@ -16,7 +16,6 @@ from ddfe.sensors import (
     project_cols,
     project_rows,
     resolve_sensor,
-    save_sensor_config,
     to_spherical,
     unproject,
 )
@@ -156,10 +155,10 @@ def test_projection_monotonicity():
 
 
 def test_sensor_config_file_round_trip(tmp_path):
-    cfg = SensorConfig("sim64", 512, 64, -25.0, 3.0)
     path = tmp_path / "sim64.cfg"
-    save_sensor_config(cfg, path)
-    assert load_sensor_config(path) == cfg
+    path.write_text("name = sim64\nh_beams = 512\nv_beams = 64\n"
+                    "fov_min_deg = -25.0\nfov_max_deg = 3.0\n")
+    assert load_sensor_config(path) == SensorConfig("sim64", 512, 64, -25.0, 3.0)
 
 
 def test_sensor_config_parsing_comments_and_order():
@@ -190,7 +189,7 @@ def test_sensor_config_parse_errors(text, fragment):
 def test_resolve_sensor(tmp_path):
     assert resolve_sensor("waymo") is PRESETS["waymo"]
     path = tmp_path / "c.cfg"
-    save_sensor_config(SensorConfig("c", 8, 4, -5.0, 5.0), path)
+    path.write_text("name = c\nh_beams = 8\nv_beams = 4\nfov_min_deg = -5.0\nfov_max_deg = 5.0\n")
     assert resolve_sensor(str(path)).h_beams == 8
     with pytest.raises(KeyError):
         resolve_sensor("no-such-sensor")
