@@ -264,6 +264,7 @@ def train(
 
     Clip parameters are fit once from the training densities and frozen
     before any gradient step, mirroring deployment (training-domain clip).
+    After each epoch, progress(epoch, loss) gets the epoch's mean scene loss.
     """
     if not dataset:
         raise ValueError("dataset is empty")
@@ -300,6 +301,7 @@ def train(
     for epoch in range(hyper.epochs):
         optimizer.lr = nn.lr_schedule(epoch, hyper.base_lr, hyper.lr_decay)
         order = rng.permutation(len(scenes))
+        scene_loss_sum = 0.0
         for step, start in enumerate(range(0, len(scenes), hyper.batch_size)):
             batch = order[start : start + hyper.batch_size]
             optimizer.zero_grad()
@@ -313,8 +315,9 @@ def train(
                 )
             total.backward()
             optimizer.step()
+            scene_loss_sum += float(total.data) * batch.size
         if progress is not None:
-            progress(epoch, float(total.data))
+            progress(epoch, scene_loss_sum / len(scenes))
 
     return Model(config, params, clip)
 

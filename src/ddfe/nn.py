@@ -8,22 +8,29 @@ so gradient checks can be tight.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .io import check_labels
 
 
 class Tensor:
-    """Array value with a gradient buffer and a backward closure."""
+    """Array value with a gradient buffer and a backward closure.
+
+    A tensor requires a gradient if it was created with one or if any parent
+    requires one.  One that requires none is a leaf of the tape: it keeps no
+    parents or closure, and backward() never hands it a gradient.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad
-        self._parents = parents
-        self._backward_fn = backward_fn
+        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self._parents = parents if self.requires_grad else ()
+        self._backward_fn = backward_fn if self.requires_grad else None
 
     @property
     def shape(self):
@@ -81,7 +88,7 @@ class Tensor:
             if node._backward_fn is None or node.grad is None:
                 continue
             for parent, g in zip(node._parents, node._backward_fn(node.grad)):
-                if g is None:
+                if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
                     parent.grad = g  # every backward_fn returns a buffer per parent
@@ -94,7 +101,7 @@ def as_tensor(value) -> Tensor:
 
 
 def linear(x, weights, bias) -> Tensor:
-    """y = x @ W + b with exact gradients for all three inputs."""
+    """y = x @ W + b with exact gradients; none for x when x is a constant."""
     x, weights, bias = as_tensor(x), as_tensor(weights), as_tensor(bias)
     if x.data.ndim != 2 or weights.data.ndim != 2 or x.data.shape[1] != weights.data.shape[0]:
         raise ValueError(
@@ -106,7 +113,8 @@ def linear(x, weights, bias) -> Tensor:
         )
 
     def backward(g):
-        return g @ weights.data.T, x.data.T @ g, g.sum(axis=0)
+        dx = g @ weights.data.T if x.requires_grad else None
+        return dx, x.data.T @ g, g.sum(axis=0)
 
     y = x.data @ weights.data
     y += bias.data
@@ -136,15 +144,24 @@ def tanh(x) -> Tensor:
     return Tensor(y, parents=(x,), backward_fn=lambda g: (g * (1.0 - y * y),))
 
 
-def softmax(x, axis: int = -1) -> Tensor:
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Row maxima of an (N, K) array as an (N, 1) column.
+
+    Folded over the K columns: numpy's axis-1 reduce loops once per row,
+    which costs far more than K - 1 passes over N values when K is small.
+    """
+    return functools.reduce(np.maximum, a.T)[:, None]
+
+
+def softmax(x) -> Tensor:
     """Rowwise softmax, stabilized by max subtraction."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - _row_max(x.data)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=1, keepdims=True)
 
     def backward(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
+        inner = (g * y).sum(axis=1, keepdims=True)
         return (y * (g - inner),)
 
     return Tensor(y, parents=(x,), backward_fn=backward)
@@ -246,17 +263,19 @@ def segment_max(x, seg, num_segments: int | None = None) -> Tensor:
     np.maximum.at(out.reshape(-1), _segment_cells(smap, d), x.data.reshape(-1))
 
     def backward(g):
-        # First attaining point: the lowest point index equal to the maximum.
-        hits = np.where(x.data == out[smap.point_to_segment], np.arange(n)[:, None], n)
-        first = np.full(m * d, n)
-        np.minimum.at(first, _segment_cells(smap, d), hits.reshape(-1))
-        unattained = np.flatnonzero(first == n)  # only a NaN maximum is never attained
+        # First attaining point: the lowest flat entry equal to its cell's
+        # maximum, searched among the attaining entries only.
+        hits = np.flatnonzero(x.data == out[smap.point_to_segment])
+        first = np.full(m * d, n * d)
+        np.minimum.at(first, _segment_cells(smap, d)[hits], hits)
+        unattained = np.flatnonzero(first == n * d)  # only a NaN maximum is never attained
         if unattained.size:
             segment, channel = divmod(int(unattained[0]), d)
             raise ValueError(
                 f"segment_max: NaN feature in segment {segment}, channel {channel}")
-        flat = first * d + np.tile(np.arange(d), m)
-        return (np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d),)
+        dx = np.zeros(n * d)
+        dx[first] = g.ravel() + 0.0  # + 0.0 turns a -0.0 gradient into +0.0, as a sum would
+        return (dx.reshape(n, d),)
 
     return Tensor(out, parents=(x,), backward_fn=backward)
 
@@ -286,7 +305,7 @@ def weighted_cross_entropy(logits, labels, class_weights) -> Tensor:
         raise ValueError("class weights must be positive")
     labels = check_labels(labels, logits.data.shape[0], num_classes)
 
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    shifted = logits.data - _row_max(logits.data)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     rows = np.arange(labels.shape[0])
     sample_w = weights[labels]
@@ -336,9 +355,15 @@ def lovasz_softmax(probs, labels) -> Tensor:
     for c in present:
         fg = (labels == c).astype(np.float64)
         errors = np.where(fg > 0, 1.0 - p[:, c], p[:, c])
-        order = np.argsort(-errors, kind="stable")
+        # With distinct keys every sort gives the stable order; only ties,
+        # a +-0 pair or a NaN need the slower stable sort.
+        order = np.argsort(-errors)
+        sorted_errors = errors[order]
+        if not (sorted_errors[:-1] > sorted_errors[1:]).all():
+            order = np.argsort(-errors, kind="stable")
+            sorted_errors = errors[order]
         grad_vec = lovasz_grad(fg[order])
-        total += errors[order] @ grad_vec
+        total += sorted_errors @ grad_vec
         derr = np.empty_like(errors)
         derr[order] = grad_vec
         dprobs[:, c] += np.where(fg > 0, -derr, derr)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddfe import nn
+from ddfe import embedding, nn
 from ddfe.beams import beam_profile
 from ddfe.embedding import (
     DENSITY_SCALE,
@@ -238,6 +238,23 @@ def test_train_is_bit_reproducible_and_learns():
                               model_b.params.tensors[name].data)
     report = evaluate(data, model_a, SIM)
     assert report.miou > 0.2  # 3 epochs: sanity only
+
+
+def test_progress_reports_each_epochs_mean_scene_loss(monkeypatch):
+    scene_losses = []
+
+    def recording_scene_loss(*args):
+        loss = scene_loss(*args)
+        scene_losses.append(float(loss.data))
+        return loss
+
+    monkeypatch.setattr(embedding, "scene_loss", recording_scene_loss)
+    reported = []
+    train(make_dataset(3, SIM, seed=21), SIM, TrainConfig(epochs=2, batch_size=1, seed=0),
+          progress=lambda epoch, loss: reported.append((epoch, loss)))
+    assert len(scene_losses) == 6
+    assert reported == [(0, pytest.approx(sum(scene_losses[:3]) / 3, rel=1e-12)),
+                        (1, pytest.approx(sum(scene_losses[3:]) / 3, rel=1e-12))]
 
 
 def test_train_validates_labels_and_empty_dataset():

@@ -124,6 +124,53 @@ def test_relu_gradient_excluding_kink():
     assert err < 1e-8
 
 
+def _softmax_reference(x, g):
+    """Softmax value and input gradient for upstream g, shifted by the row max."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    y = e / e.sum(axis=1, keepdims=True)
+    return y, y * (g - (g * y).sum(axis=1, keepdims=True))
+
+
+def _wce_reference(logits, labels, weights):
+    """Weighted cross-entropy value and logit gradient, shifted by the row max."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    rows = np.arange(labels.shape[0])
+    sample_w = weights[labels]
+    total_w = sample_w.sum()
+    loss = -(sample_w * log_probs[rows, labels]).sum() / total_w
+    d = np.exp(log_probs) * sample_w[:, None]
+    d[rows, labels] -= sample_w
+    return loss, 1.0 * d / total_w
+
+
+# signed zeros, single infinities and logits far beyond exp's range
+_LOGITS = st.one_of(st.sampled_from([0.0, -0.0, 0.0, -0.0, np.inf, -np.inf, 1e300, -1e300]),
+                    st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), k=st.integers(1, 12))
+def test_softmax_and_wce_are_bitwise_the_row_max_formulas(data, n, k):
+    x = data.draw(hnp.arrays(np.float64, (n, k), elements=_LOGITS))
+    g = data.draw(hnp.arrays(np.float64, (n, k), elements=st.floats(-4, 4)))
+    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    weights = data.draw(hnp.arrays(np.float64, k, elements=st.floats(0.1, 10.0)))
+    with np.errstate(all="ignore"):
+        y_ref, dx_ref = _softmax_reference(x, g)
+        loss_ref, dlogits_ref = _wce_reference(x, labels, weights)
+        xt = nn.Tensor(x.copy(), requires_grad=True)
+        y = nn.softmax(xt)
+        nn.tensor_sum(nn.multiply(y, nn.Tensor(g))).backward()
+        logits = nn.Tensor(x.copy(), requires_grad=True)
+        loss = nn.weighted_cross_entropy(logits, labels, weights)
+        loss.backward()
+    assert y.data.tobytes() == y_ref.tobytes()
+    assert xt.grad.tobytes() == dx_ref.tobytes()
+    assert loss.data.tobytes() == loss_ref.tobytes()
+    assert logits.grad.tobytes() == dlogits_ref.tobytes()
+
+
 # --- segment reductions -----------------------------------------------------
 
 
@@ -186,12 +233,14 @@ def test_segment_max_matches_bruteforce_values_and_routing(data, m, d):
     y = nn.segment_max(xt, nn.SegmentMap(seg, m))
     assert y.data.tobytes() == expected.tobytes()
     coeffs = np.arange(1.0, m * d + 1).reshape(m, d)  # distinct, so misrouting shows
+    coeffs[-1, -1] = -0.0
     nn.tensor_sum(nn.multiply(y, nn.Tensor(coeffs))).backward()
     expected_grad = np.zeros_like(x)
     for s in range(m):
         for c in range(d):
-            expected_grad[owner[s, c], c] = coeffs[s, c]
-    assert np.array_equal(xt.grad, expected_grad)
+            # a sum of the routed coefficients: 0.0 + -0.0 is +0.0
+            expected_grad[owner[s, c], c] = 0.0 + coeffs[s, c]
+    assert xt.grad.tobytes() == expected_grad.tobytes()
 
 
 def test_segment_reduce_gradients_match_finite_differences():
@@ -326,6 +375,47 @@ def test_lovasz_matches_bruteforce_oracle_exhaustively():
                     assert abs(fast - slow) <= 1e-9, (num_classes, n, labels)
 
 
+def _lovasz_stable_sort(probs, labels):
+    """Lovasz-Softmax loss and probability gradient, every class sorted with
+    the stable argsort."""
+    total = 0.0
+    dprobs = np.zeros_like(probs)
+    present = np.unique(labels)
+    for c in present:
+        fg = (labels == c).astype(np.float64)
+        errors = np.where(fg > 0, 1.0 - probs[:, c], probs[:, c])
+        order = np.argsort(-errors, kind="stable")
+        grad_vec = nn.lovasz_grad(fg[order])
+        total += errors[order] @ grad_vec
+        derr = np.empty_like(errors)
+        derr[order] = grad_vec
+        dprobs[:, c] += np.where(fg > 0, -derr, derr)
+    scale = 1.0 / present.size
+    return total * scale, 1.0 * scale * dprobs
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30), k=st.integers(2, 5))
+def test_lovasz_is_bitwise_the_stable_sort_version(data, n, k):
+    # a few rows drawn from a small palette: ties, all-equal columns, and
+    # -0.0 probabilities whose errors tie with +0.0
+    one_hot = np.eye(k)
+    palette = [np.full(k, 1.0 / k), one_hot[0], np.where(one_hot[1] > 0, 1.0, -0.0),
+               np.r_[0.5, 0.5, np.zeros(k - 2)]]
+    palette += [row / row.sum() for row in data.draw(
+        hnp.arrays(np.float64, (2, k), elements=st.floats(0.01, 1.0)))]
+    size = data.draw(st.integers(1, len(palette)))
+    rows = data.draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n))
+    probs = np.array([palette[r] for r in rows])
+    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    expected_loss, expected_grad = _lovasz_stable_sort(probs, labels)
+    pt = nn.Tensor(probs, requires_grad=True)
+    loss = nn.lovasz_softmax(pt, labels)
+    loss.backward()
+    assert loss.data.tobytes() == np.float64(expected_loss).tobytes()
+    assert pt.grad.tobytes() == expected_grad.tobytes()
+
+
 def test_lovasz_rejects_unnormalized_rows():
     with pytest.raises(ValueError, match="unnormalized rows"):
         nn.lovasz_softmax(np.array([[0.5, 0.6]]), np.array([0]))
@@ -437,6 +527,21 @@ def test_second_backward_accumulates_only_leaf_gradients():
     loss.backward()
     loss.backward()
     assert np.array_equal(x.grad, [[2.0, 2.0]])
+
+
+def test_constants_get_no_gradient():
+    rng = np.random.default_rng(10)
+    x = nn.Tensor(rng.normal(size=(5, 3)))
+    constant = nn.relu(nn.linear(x, rng.normal(size=(3, 4)), rng.normal(size=4)))
+    w = nn.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    b = nn.Tensor(rng.normal(size=2), requires_grad=True)
+    y = nn.linear(constant, w, b)
+    assert not constant.requires_grad and y.requires_grad
+    dx, dw, db = y._backward_fn(np.ones((5, 2)))
+    assert dx is None and dw.shape == (4, 2) and db.shape == (2,)
+    nn.tensor_sum(y).backward()
+    assert x.grad is None and constant.grad is None
+    assert w.grad is not None and b.grad is not None
 
 
 def test_backward_requires_scalar():
