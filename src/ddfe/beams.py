@@ -29,17 +29,14 @@ DEFAULT_SIGMAS = (10.0, 30.0, 50.0, 70.0)  # pixels of the projected image
 
 @dataclass(frozen=True)
 class BeamProfile:
-    """Raw and Gaussian-smoothed beam indicator vectors of one sensor.
+    """Gaussian-smoothed beam indicator vectors of one sensor.
 
-    raw_h / raw_v are binary ({0, 1}); smooth_h / smooth_v hold one row per
-    smoothing scale, ascending sigma, same length as the raw vectors.
+    smooth_h / smooth_v hold one row per DEFAULT_SIGMAS scale, ascending
+    sigma, each as long as its projected image axis.
     """
 
-    raw_h: np.ndarray
-    raw_v: np.ndarray
     smooth_h: np.ndarray
     smooth_v: np.ndarray
-    sigmas: tuple[float, ...]
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
@@ -96,12 +93,8 @@ def rasterize_beams(
     return raw_h, raw_v
 
 
-def smooth_profile(
-    raw_h: np.ndarray,
-    raw_v: np.ndarray,
-    sigmas: tuple[float, ...] = DEFAULT_SIGMAS,
-) -> BeamProfile:
-    """Smooth raw indicators with one Gaussian per scale.
+def smooth_profile(raw_h: np.ndarray, raw_v: np.ndarray) -> BeamProfile:
+    """Smooth raw indicators with one Gaussian per DEFAULT_SIGMAS scale.
 
     The horizontal axis is periodic (azimuth), so its convolution wraps;
     the vertical axis is zero-padded.  Kernels are sum-normalized, making
@@ -109,13 +102,13 @@ def smooth_profile(
     """
     raw_h = np.asarray(raw_h, dtype=np.float64)
     raw_v = np.asarray(raw_v, dtype=np.float64)
-    smooth_h = np.empty((len(sigmas), raw_h.size))
-    smooth_v = np.empty((len(sigmas), raw_v.size))
-    for k, sigma in enumerate(sigmas):
+    smooth_h = np.empty((len(DEFAULT_SIGMAS), raw_h.size))
+    smooth_v = np.empty((len(DEFAULT_SIGMAS), raw_v.size))
+    for k, sigma in enumerate(DEFAULT_SIGMAS):
         kernel = gaussian_kernel(sigma)
         smooth_h[k] = _convolve_circular(raw_h, kernel)
         smooth_v[k] = _convolve_zero_padded(raw_v, kernel)
-    return BeamProfile(raw_h, raw_v, smooth_h, smooth_v, tuple(sigmas))
+    return BeamProfile(smooth_h, smooth_v)
 
 
 def beam_profile(config: SensorConfig, params: ProjectionParams | None = None) -> BeamProfile:
@@ -137,7 +130,7 @@ def point_density(
 def density_for_cloud(
     profile: BeamProfile, cloud: np.ndarray, params: ProjectionParams
 ) -> np.ndarray:
-    """Per-point density embedding of an (N, 3) cloud, shape (N, len(sigmas)).
+    """Per-point density embedding of an (N, 3) cloud, shape (N, len(DEFAULT_SIGMAS)).
 
     Row order follows the cloud; a non-finite or zero-length point names its index.
     """

@@ -63,11 +63,16 @@ def _load_pair(bin_path: str) -> tuple[np.ndarray, np.ndarray]:
     return cloud, labels
 
 
-def _load_dataset(directory: str) -> list[tuple[np.ndarray, np.ndarray]]:
+def _scan_paths(directory: str) -> list[str]:
+    """The directory's .bin scans in sorted name order; at least one."""
     paths = sorted(glob.glob(os.path.join(directory, "*.bin")))
     if not paths:
         raise DataError(f"no .bin scans found in {directory}")
-    return [_load_pair(p) for p in paths]
+    return paths
+
+
+def _load_dataset(directory: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    return [_load_pair(p) for p in _scan_paths(directory)]
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -100,9 +105,7 @@ def _cmd_density(args) -> None:
 
 def _cmd_stats(args) -> None:
     config = _sensor(args.sensor)
-    paths = sorted(glob.glob(os.path.join(args.inputs, "*.bin")))
-    if not paths:
-        raise DataError(f"no .bin scans found in {args.inputs}")
+    paths = _scan_paths(args.inputs)
     profile = beam_profile(config)
     proj = ProjectionParams()
     reservoir = DensityReservoir(num_channels=len(DEFAULT_SIGMAS), seed=args.seed)

@@ -142,6 +142,22 @@ def encode_scene(
     )
 
 
+def _encoded_dataset(dataset: list[tuple[np.ndarray, np.ndarray]],
+                     sensor_config: SensorConfig, config: EmbeddingConfig):
+    """Encode each labelled scan in order, holding the dataset rules: at
+    least one scan, no empty scan, every label in [0, config.num_classes)."""
+    if not dataset:
+        raise ValueError("dataset is empty")
+    proj = ProjectionParams()
+    profile = beam_profile(sensor_config, proj)
+    for i, (cloud, labels) in enumerate(dataset):
+        if len(cloud) == 0:
+            raise ValueError(f"scan {i} of the dataset is empty")
+        labels = check_labels(labels, len(cloud), config.num_classes)
+        yield encode_scene(cloud, profile, proj, config.voxel_size, labels,
+                           config.use_density)
+
+
 def forward_encoded(scene: EncodedScene, params: EmbeddingParams,
                     clip: ClipParams | None) -> tuple[nn.Tensor, nn.Tensor]:
     """Differentiable DDFE forward pass on a pre-encoded scene.
@@ -266,23 +282,12 @@ def train(
     before any gradient step, mirroring deployment (training-domain clip).
     After each epoch, progress(epoch, loss) gets the epoch's mean scene loss.
     """
-    if not dataset:
-        raise ValueError("dataset is empty")
     hyper = hyper or TrainConfig()
-    proj = ProjectionParams()
-    profile = beam_profile(sensor_config, proj)
     config = EmbeddingConfig(
         num_classes=hyper.num_classes, voxel_size=hyper.voxel_size,
         use_attention=use_attention, use_density=use_density,
     )
-
-    scenes = []
-    for i, (cloud, labels) in enumerate(dataset):
-        if len(cloud) == 0:
-            raise ValueError(f"scan {i} of the dataset is empty")
-        labels = check_labels(labels, len(cloud), hyper.num_classes)
-        scenes.append(encode_scene(cloud, profile, proj, hyper.voxel_size,
-                                   labels, use_density))
+    scenes = list(_encoded_dataset(dataset, sensor_config, config))
 
     clip = None
     if use_clip:
@@ -378,18 +383,11 @@ def evaluate(
     sensor_config: SensorConfig,
 ) -> EvalReport:
     """Point-level IoU of the model on labeled clouds."""
-    if not dataset:
-        raise ValueError("dataset is empty")
-    proj = ProjectionParams()
-    profile = beam_profile(sensor_config, proj)
     num_classes = model.config.num_classes
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for cloud, labels in dataset:
-        labels = check_labels(labels, len(cloud), num_classes)
-        scene = encode_scene(cloud, profile, proj, model.config.voxel_size,
-                             labels, model.config.use_density)
+    for scene in _encoded_dataset(dataset, sensor_config, model.config):
         pred = point_predictions(scene, model)
-        confusion += confusion_matrix(pred, labels, num_classes)
+        confusion += confusion_matrix(pred, scene.labels, num_classes)
     iou, miou = iou_scores(confusion)
     return EvalReport(iou, miou, confusion)
 
@@ -453,17 +451,15 @@ def binned_voxel_features(
     """Mean fused voxel feature per voxel-center range bin.
 
     Returns (means (B, 32), counts (B,)); bins default to 5 m steps over
-    0-50 m.  Empty bins yield NaN rows.  Labels are not used.
+    0-50 m.  Empty bins yield NaN rows.  The dataset passes the same rules
+    as in `train` and `evaluate`: labels are checked and voxel labels
+    computed, though neither changes the features.
     """
-    proj = ProjectionParams()
     edges = np.arange(0.0, 55.0, 5.0) if bin_edges is None else np.asarray(bin_edges)
-    profile = beam_profile(sensor_config, proj)
     n_bins = edges.size - 1
     sums = np.zeros((n_bins, FUSED_CHANNELS))
     counts = np.zeros(n_bins, dtype=np.int64)
-    for cloud, _ in dataset:
-        scene = encode_scene(cloud, profile, proj, model.config.voxel_size,
-                             use_density=model.config.use_density)
+    for scene in _encoded_dataset(dataset, sensor_config, model.config):
         _, fused = forward_encoded(scene, model.params, model.clip)
         ranges = np.linalg.norm(scene.grid.centers, axis=1)
         which = np.digitize(ranges, edges) - 1

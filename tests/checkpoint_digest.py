@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over the checkpoints of four short training runs.
+"""Print one SHA-256 over four short training runs and what they score.
 
 The runs are the full model and the three ablations (no clip, no attention,
 no density), each `train(make_dataset(4, SIM64, seed=123), SIM64,
-TrainConfig(epochs=2, seed=0))`, with BLAS on one thread.  A change that
-claims to keep training bit-identical must print the same digest as its
-base commit:
+TrainConfig(epochs=2, seed=0))`, with BLAS on one thread.  Each run adds its
+checkpoint and, on the training scans and on the same worlds scanned by
+SIM32, the `evaluate` confusion matrix and the `binned_voxel_features` means
+and counts.  A change that claims to keep training, evaluation and the
+feature report bit-identical must print the same digest as its base commit:
 
     PYTHONPATH=src python tests/checkpoint_digest.py
 
@@ -23,12 +25,19 @@ import hashlib  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from ddfe.embedding import TrainConfig, checkpoint_tensors, train  # noqa: E402
+from ddfe.embedding import (  # noqa: E402
+    TrainConfig,
+    binned_voxel_features,
+    checkpoint_tensors,
+    evaluate,
+    train,
+)
 from ddfe.io import save_checkpoint  # noqa: E402
 from ddfe.sensors import SensorConfig  # noqa: E402
 from ddfe.simulate import make_dataset  # noqa: E402
 
 SIM64 = SensorConfig("sim64", 512, 64, -25.0, 3.0)
+SIM32 = SensorConfig("sim32", 512, 32, -25.0, 3.0)
 RUNS = (
     {},
     {"use_clip": False},
@@ -39,6 +48,7 @@ RUNS = (
 
 def checkpoint_digest() -> str:
     dataset = make_dataset(4, SIM64, seed=123)
+    scored = ((dataset, SIM64), (make_dataset(4, SIM32, seed=123), SIM32))
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt"
@@ -46,6 +56,10 @@ def checkpoint_digest() -> str:
             model = train(dataset, SIM64, TrainConfig(epochs=2, seed=0), **flags)
             save_checkpoint(checkpoint_tensors(model), path)
             digest.update(path.read_bytes())
+            for data, sensor in scored:
+                digest.update(evaluate(data, model, sensor).confusion.tobytes())
+                for array in binned_voxel_features(data, model, sensor):
+                    digest.update(array.tobytes())
     return digest.hexdigest()
 
 

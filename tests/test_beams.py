@@ -73,8 +73,8 @@ def test_smooth_uniform_comb_reads_beams_per_pixel():
     spacing, height = 14, 512
     raw_v = np.zeros(height)
     raw_v[40::spacing] = 1.0
-    profile = smooth_profile(np.zeros(1024), raw_v, sigmas=(10.0,))
-    interior = profile.smooth_v[0][90:420]
+    profile = smooth_profile(np.zeros(1024), raw_v)
+    interior = profile.smooth_v[0][90:420]  # sigma = 10
     assert np.max(np.abs(interior * spacing - 1.0)) < 1e-3
 
 
@@ -88,7 +88,7 @@ def test_smooth_circular_preserves_mass():
 
 def test_smooth_rejects_bad_sigma():
     with pytest.raises(ValueError):
-        smooth_profile(np.zeros(64), np.zeros(64), sigmas=(0.0,))
+        gaussian_kernel(0.0)
     with pytest.raises(ValueError):
         gaussian_kernel(-1.0)
 

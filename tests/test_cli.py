@@ -208,18 +208,38 @@ def test_data_errors_exit_2(tmp_path, capsys):
         assert "point index 1" in capsys.readouterr().err
 
 
-def test_train_on_an_empty_scan_exits_2_naming_it(tmp_path, sim_cfg):
-    scans = _simulate(tmp_path, sim_cfg, scenes=1)
+@pytest.mark.parametrize("command", ["train", "evaluate", "report-feature-similarity"])
+def test_empty_scan_exits_2_naming_it(tmp_path, sim_cfg, command):
+    data = tmp_path / "data"
+    scans = _simulate(data, sim_cfg, scenes=1, sub="sim16")
+    model = str(tmp_path / "m.ckpt")
+    if command != "train":
+        assert run(["train", "--sensor", sim_cfg, "--data", scans, "--epochs", "1",
+                    "--out", model, "--quiet"]) == 0
     for ext in (".bin", ".label"):
         open(os.path.join(scans, "000001" + ext), "wb").close()
+    args = {
+        "train": ["--sensor", sim_cfg, "--data", scans, "--epochs", "1",
+                  "--out", model, "--quiet"],
+        "evaluate": ["--sensor", sim_cfg, "--data", scans, "--model", model],
+        "report-feature-similarity": ["--sensors", sim_cfg, sim_cfg,
+                                      "--data", str(data), "--model", model],
+    }[command]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ddfe", "train", "--sensor", sim_cfg, "--data", scans,
-         "--epochs", "1", "--out", str(tmp_path / "m.ckpt"), "--quiet"],
-        capture_output=True, text=True, env=env, check=False)
+    proc = subprocess.run([sys.executable, "-m", "ddfe", command, *args],
+                          capture_output=True, text=True, env=env, check=False)
     assert proc.returncode == 2
     assert "scan 1 of the dataset is empty" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, flag", [("stats", "--inputs"), ("train", "--data")])
+def test_directory_without_scans_exits_2(tmp_path, sim_cfg, capsys, command, flag):
+    empty = tmp_path / "none"
+    empty.mkdir()
+    extra = ["--out", str(tmp_path / "m.ckpt")] if command == "train" else []
+    assert run([command, "--sensor", sim_cfg, flag, str(empty), *extra]) == 2
+    assert f"no .bin scans found in {empty}" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):

@@ -7,7 +7,9 @@ from ddfe.embedding import (
     DENSITY_SCALE,
     EmbeddingConfig,
     EmbeddingParams,
+    Model,
     TrainConfig,
+    binned_voxel_features,
     checkpoint_tensors,
     confusion_matrix,
     encode_scene,
@@ -257,15 +259,27 @@ def test_progress_reports_each_epochs_mean_scene_loss(monkeypatch):
                         (1, pytest.approx(sum(scene_losses[3:]) / 3, rel=1e-12))]
 
 
-def test_train_validates_labels_and_empty_dataset():
-    with pytest.raises(ValueError, match="empty"):
-        train([], SIM)
+_UNTRAINED = Model(EmbeddingConfig(), _params(), None)
+
+# every entry that encodes a labelled dataset, called on a dataset
+_DATASET_ENTRIES = {
+    "train": lambda data: train(data, SIM, TrainConfig(epochs=1, num_classes=4)),
+    "evaluate": lambda data: evaluate(data, _UNTRAINED, SIM),
+    "binned_voxel_features": lambda data: binned_voxel_features(data, _UNTRAINED, SIM),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_DATASET_ENTRIES))
+def test_dataset_rules_hold_at_every_entry(entry):
+    call = _DATASET_ENTRIES[entry]
+    with pytest.raises(ValueError, match="dataset is empty"):
+        call([])
     cloud = np.array([[5.0, 0.0, -1.0]])
-    with pytest.raises(ValueError, match="labels"):
-        train([(cloud, np.array([9]))], SIM, TrainConfig(epochs=1, num_classes=4))
+    with pytest.raises(ValueError, match="invalid label 9 at index 0"):
+        call([(cloud, np.array([9]))])
     empty_scan = (np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError, match="scan 1 of the dataset is empty"):
-        train([(cloud, np.array([0])), empty_scan], SIM, TrainConfig(epochs=1))
+        call([(cloud, np.array([0])), empty_scan])
 
 
 def test_checkpoint_round_trip_preserves_model(tmp_path, small_scene):

@@ -14,6 +14,7 @@ from ddfe.embedding import (
     EmbeddingParams,
     Model,
     TrainConfig,
+    binned_voxel_features,
     encode_scene,
     evaluate,
     train,
@@ -306,6 +307,8 @@ _LABEL_ENTRIES = {
     "train": (4, lambda cloud, labels, _: train(
         [(cloud, labels)], SIM, TrainConfig(epochs=1, num_classes=4))),
     "evaluate": (4, lambda cloud, labels, _: evaluate([(cloud, labels)], _MODEL, SIM)),
+    "binned_voxel_features": (4, lambda cloud, labels, _: binned_voxel_features(
+        [(cloud, labels)], _MODEL, SIM)),
     "majority_label": (dio.LABEL_LIMIT,
                        lambda cloud, labels, _: majority_label(voxelize(cloud, 0.2), labels)),
     "weighted_cross_entropy": (3, lambda cloud, labels, _: nn.weighted_cross_entropy(
