@@ -2,18 +2,18 @@
 """Sensor geometry tour: beam layouts and the spherical projection image.
 
 Walks through the bundled sensor presets, shows where their beams sit, and
-demonstrates that the pixel projection round-trips through its inverse.
+checks that every pixel center projects back onto its own pixel.
 """
 
 import numpy as np
 
 from ddfe.sensors import (
     PRESETS,
+    TWO_PI,
     ProjectionParams,
-    SphericalCoords,
     beam_inclinations,
-    project,
-    unproject,
+    project_cols,
+    project_rows,
 )
 
 params = ProjectionParams()
@@ -37,8 +37,9 @@ print("\nprojection round trip on a random pixel sample:")
 rng = np.random.default_rng(0)
 cols = rng.integers(0, params.width, 2000)
 rows = rng.integers(0, params.height, 2000)
-exact = 0
-for col, row in zip(cols, rows):
-    theta, phi = unproject(int(col), int(row), params)
-    exact += project(SphericalCoords(theta, phi, 1.0), params) == (col, row)
+# the angular center of each pixel
+theta = (cols + 0.5) / params.width * TWO_PI
+lo, hi = params.proj_fov_min_rad, params.proj_fov_max_rad
+phi = lo + (rows + 0.5) / params.height * (hi - lo)
+exact = np.sum((project_cols(theta, params) == cols) & (project_rows(phi, params) == rows))
 print(f"  {exact}/2000 pixel centers project back to their own pixel")

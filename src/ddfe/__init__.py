@@ -37,10 +37,7 @@ from .sensors import (
     beam_inclinations,
     get_preset,
     load_sensor_config,
-    project,
     resolve_sensor,
-    to_spherical,
-    unproject,
 )
 from .simulate import Scene, make_dataset, raycast_scan, wall_scene
 from .stats import ClipParams, DensityReservoir, fit_clip, soft_clip

@@ -15,22 +15,18 @@ import numpy as np
 from .io import LABEL_LIMIT, check_labels
 from .sensors import SensorConfig, beam_inclinations, spherical_of_cloud
 
-KEEP_FRACTIONS = (0.5, 0.75)  # emulates 32- and 48-beam sensors from 64
-
-
 @dataclass
 class AugmentConfig:
+    """How often each augmentation fires; the ranges it draws from are fixed."""
+
     apply_prob: float = 0.5
-    mix_translation_max: float = 20.0        # meters along ego +x
-    mix_rotation: tuple[float, float] = (0.0, 2.0 * np.pi)  # yaw range
-    keep_fractions: tuple[float, ...] = KEEP_FRACTIONS
+    mix_translation_max = 20.0            # meters along ego +x
+    mix_rotation = (0.0, 2.0 * np.pi)     # yaw range
+    keep_fractions = (0.5, 0.75)          # emulates 32- and 48-beam sensors from 64
 
     def __post_init__(self):
         if not 0.0 <= self.apply_prob <= 1.0:
             raise ValueError(f"apply_prob must be in [0, 1], got {self.apply_prob}")
-        for f in self.keep_fractions:
-            if not 0.0 < f <= 1.0:
-                raise ValueError(f"keep fraction must be in (0, 1], got {f}")
 
 
 def nearest_beam(cloud: np.ndarray, config: SensorConfig) -> np.ndarray:

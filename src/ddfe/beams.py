@@ -75,7 +75,10 @@ def rasterize_beams(
     below the beam count.  The projections are algebraically rearranged
     (floor(i*W/H_b) instead of floor((2*pi*i/H_b)/(2*pi)*W), and degrees
     end to end vertically) so beams sitting exactly on pixel boundaries
-    land where exact arithmetic puts them.
+    land where exact arithmetic puts them.  A vertical beam outside the
+    image's elevation band (edges included) is rejected, naming its 0-based
+    index: clamped into an edge row, it would OR together with its
+    neighbours there.
     """
     i = np.arange(1, config.h_beams + 1, dtype=np.float64)
     cols = np.floor(i * params.width / config.h_beams).astype(np.int64) % params.width
@@ -83,6 +86,15 @@ def rasterize_beams(
     raw_h[cols] = 1.0
 
     _, elevation_deg = beam_inclinations(config)
+    outside = np.flatnonzero((elevation_deg < params.proj_fov_min_deg)
+                             | (elevation_deg > params.proj_fov_max_deg))
+    if outside.size:
+        j = outside[0]
+        raise ValueError(
+            f"vertical beam {j} of sensor {config.name!r} at "
+            f"{float(elevation_deg[j])} deg lies outside the projection image's "
+            f"[{params.proj_fov_min_deg}, {params.proj_fov_max_deg}] deg elevation band"
+        )
     proj_span = params.proj_fov_max_deg - params.proj_fov_min_deg
     rows = np.floor(
         (elevation_deg - params.proj_fov_min_deg) * params.height / proj_span
@@ -118,13 +130,18 @@ def beam_profile(config: SensorConfig, params: ProjectionParams | None = None) -
     return smooth_profile(raw_h, raw_v)
 
 
+def _density(profile: BeamProfile, theta, phi, r, params: ProjectionParams) -> np.ndarray:
+    """sqrt(Bh * Bv) / r per scale, one row per DEFAULT_SIGMAS scale."""
+    cols = project_cols(theta, params)
+    rows = project_rows(phi, params)
+    return np.sqrt(profile.smooth_h[:, cols] * profile.smooth_v[:, rows]) / r
+
+
 def point_density(
     profile: BeamProfile, coords: SphericalCoords, params: ProjectionParams
 ) -> np.ndarray:
-    """Multi-scale beam density of one point: sqrt(Bh * Bv) / r per scale."""
-    col = int(project_cols(coords.azimuth, params))
-    row = int(project_rows(coords.elevation, params))
-    return np.sqrt(profile.smooth_h[:, col] * profile.smooth_v[:, row]) / coords.range
+    """Multi-scale beam density of one point, one value per scale."""
+    return _density(profile, coords.azimuth, coords.elevation, coords.range, params)
 
 
 def density_for_cloud(
@@ -134,11 +151,7 @@ def density_for_cloud(
 
     Row order follows the cloud; a non-finite or zero-length point names its index.
     """
-    theta, phi, r = spherical_of_cloud(cloud)
-    cols = project_cols(theta, params)
-    rows = project_rows(phi, params)
-    product = profile.smooth_h[:, cols] * profile.smooth_v[:, rows]
-    return (np.sqrt(product) / r).T
+    return _density(profile, *spherical_of_cloud(cloud), params).T
 
 
 def band_center_density(

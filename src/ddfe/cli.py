@@ -109,8 +109,11 @@ def _cmd_stats(args) -> None:
     profile = beam_profile(config)
     proj = ProjectionParams()
     reservoir = DensityReservoir(num_channels=len(DEFAULT_SIGMAS), seed=args.seed)
-    for path in paths:
-        reservoir.update(density_for_cloud(profile, ddfe_io.read_scan(path), proj))
+    for i, path in enumerate(paths):
+        cloud = ddfe_io.read_scan(path)
+        if len(cloud) == 0:
+            raise DataError(f"scan {i} of the dataset is empty")
+        reservoir.update(density_for_cloud(profile, cloud, proj))
     clip = fit_clip(reservoir)
     print(f"fit clip on {len(paths)} scans")
     for c, sigma in enumerate(DEFAULT_SIGMAS):

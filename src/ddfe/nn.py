@@ -343,7 +343,7 @@ def lovasz_softmax(probs, labels) -> Tensor:
     off = np.flatnonzero(~(np.abs(row_sums - 1.0) <= 1e-6))  # NaN rows too
     if off.size:
         raise ValueError(
-            f"unnormalized rows: row {off[0]} sums to {row_sums[off[0]]!r}"
+            f"unnormalized rows: row {off[0]} sums to {row_sums[off[0]]}"
         )
     labels = check_labels(labels, p.shape[0], p.shape[1])
     if labels.size == 0:

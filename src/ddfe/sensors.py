@@ -64,30 +64,19 @@ def get_preset(name: str) -> SensorConfig:
 
 @dataclass(frozen=True)
 class ProjectionParams:
-    """Resolution and elevation coverage of the spherical projection image.
+    """The one spherical projection image every sensor's density is read from.
 
-    The defaults (512 x 5120 pixels over [-30, +15] degrees elevation) are
-    wide enough to hold every supported sensor.
+    512 x 5120 pixels over [-30, +15] degrees elevation: fixed, so densities
+    are comparable across sensors, and wide enough to hold every supported
+    sensor's beams.
     """
 
-    height: int = 512
-    width: int = 5120
-    proj_fov_min_deg: float = -30.0
-    proj_fov_max_deg: float = 15.0
-
-    def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ValueError("projection image must have positive size")
-        if not self.proj_fov_min_deg < self.proj_fov_max_deg:
-            raise ValueError("projected FOV must be a non-empty interval")
-
-    @property
-    def proj_fov_min_rad(self) -> float:
-        return math.radians(self.proj_fov_min_deg)
-
-    @property
-    def proj_fov_max_rad(self) -> float:
-        return math.radians(self.proj_fov_max_deg)
+    height = 512
+    width = 5120
+    proj_fov_min_deg = -30.0
+    proj_fov_max_deg = 15.0
+    proj_fov_min_rad = math.radians(proj_fov_min_deg)
+    proj_fov_max_rad = math.radians(proj_fov_max_deg)
 
 
 @dataclass(frozen=True)
@@ -119,17 +108,6 @@ def beam_inclinations(config: SensorConfig) -> tuple[np.ndarray, np.ndarray]:
     return azimuth_rad, elevation_deg
 
 
-def to_spherical(point) -> SphericalCoords:
-    """Convert one Cartesian point (meters) to spherical coordinates.
-
-    Azimuth is wrapped into [0, 2*pi); elevation is the angle above the
-    horizontal plane.  Rejected like a one-point cloud by spherical_of_cloud:
-    a non-finite point, or the origin, which has no direction.
-    """
-    theta, phi, r = spherical_of_cloud([point])
-    return SphericalCoords(float(theta[0]), float(phi[0]), float(r[0]))
-
-
 def spherical_of_cloud(cloud: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized spherical conversion of an (N, 3) cloud.
 
@@ -159,21 +137,6 @@ def project_rows(phi, params: ProjectionParams):
     lo, hi = params.proj_fov_min_rad, params.proj_fov_max_rad
     row = np.floor((np.asarray(phi, dtype=np.float64) - lo) / (hi - lo) * params.height)
     return np.clip(row.astype(np.int64), 0, params.height - 1)
-
-
-def project(coords: SphericalCoords, params: ProjectionParams) -> tuple[int, int]:
-    """Project one spherical coordinate onto the (col, row) pixel grid."""
-    col = int(project_cols(coords.azimuth, params))
-    row = int(project_rows(coords.elevation, params))
-    return col, row
-
-
-def unproject(col: int, row: int, params: ProjectionParams) -> tuple[float, float]:
-    """Angular center (azimuth, elevation) of a pixel, in radians."""
-    theta = (col + 0.5) / params.width * TWO_PI
-    lo, hi = params.proj_fov_min_rad, params.proj_fov_max_rad
-    phi = lo + (row + 0.5) / params.height * (hi - lo)
-    return theta, phi
 
 
 # --- sensor config files -------------------------------------------------

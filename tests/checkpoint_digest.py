@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over four short training runs and what they score.
+"""Print one SHA-256 over four short training runs, what they score, and the
+density and augmentation paths they rest on.
 
 The runs are the full model and the three ablations (no clip, no attention,
 no density), each `train(make_dataset(4, SIM64, seed=123), SIM64,
 TrainConfig(epochs=2, seed=0))`, with BLAS on one thread.  Each run adds its
 checkpoint and, on the training scans and on the same worlds scanned by
 SIM32, the `evaluate` confusion matrix and the `binned_voxel_features` means
-and counts.  A change that claims to keep training, evaluation and the
-feature report bit-identical must print the same digest as its base commit:
+and counts.  Then come `density_for_cloud` on one simulated scan per sensor
+preset, and `enhanced_mix3d` -> `random_keep_set` -> `beam_sample` on the
+first two training scans under `default_rng(0)`.  A change that claims to
+keep training, evaluation, the feature report, density or augmentation
+bit-identical must print the same digest as its base commit:
 
     PYTHONPATH=src python tests/checkpoint_digest.py
 
@@ -25,6 +29,15 @@ import hashlib  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
+from ddfe.augment import (  # noqa: E402
+    AugmentConfig,
+    beam_sample,
+    enhanced_mix3d,
+    random_keep_set,
+)
+from ddfe.beams import beam_profile, density_for_cloud  # noqa: E402
 from ddfe.embedding import (  # noqa: E402
     TrainConfig,
     binned_voxel_features,
@@ -33,7 +46,7 @@ from ddfe.embedding import (  # noqa: E402
     train,
 )
 from ddfe.io import save_checkpoint  # noqa: E402
-from ddfe.sensors import SensorConfig  # noqa: E402
+from ddfe.sensors import PRESETS, ProjectionParams, SensorConfig  # noqa: E402
 from ddfe.simulate import make_dataset  # noqa: E402
 
 SIM64 = SensorConfig("sim64", 512, 64, -25.0, 3.0)
@@ -60,6 +73,15 @@ def checkpoint_digest() -> str:
                 digest.update(evaluate(data, model, sensor).confusion.tobytes())
                 for array in binned_voxel_features(data, model, sensor):
                     digest.update(array.tobytes())
+    proj = ProjectionParams()
+    for sensor in PRESETS.values():
+        cloud, _ = make_dataset(1, sensor, seed=7)[0]
+        digest.update(density_for_cloud(beam_profile(sensor, proj), cloud, proj).tobytes())
+    rng = np.random.default_rng(0)
+    mixed = enhanced_mix3d(dataset[0], dataset[1], AugmentConfig(), rng)
+    keep = random_keep_set(SIM64, AugmentConfig(), rng)
+    for array in (*mixed, keep, *beam_sample(*mixed, SIM64, keep)):
+        digest.update(array.tobytes())
     return digest.hexdigest()
 
 

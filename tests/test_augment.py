@@ -13,7 +13,7 @@ from ddfe.augment import (
     rotate_yaw,
 )
 from ddfe.beams import band_center_density, beam_profile
-from ddfe.sensors import ProjectionParams, SensorConfig
+from ddfe.sensors import ProjectionParams, SensorConfig, spherical_of_cloud
 from ddfe.simulate import raycast_scan, wall_scene
 
 SIM64 = SensorConfig("sim64", 512, 64, -25.0, 3.0)
@@ -86,13 +86,22 @@ def test_even_indexed_half_is_the_32_beam_sensor():
     assert np.allclose(elev64[1::2], elev32, atol=1e-12)
 
 
-def test_mix3d_degenerate_transform_is_concatenation():
-    rng = np.random.default_rng(0)
+def _replay_mix_draws(seed):
+    """The yaw and ego-axis shift enhanced_mix3d draws first from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    yaw = rng.uniform(0.0, 2.0 * np.pi)
+    shift = rng.uniform(0.0, 20.0)
+    return yaw, shift
+
+
+def test_mix3d_concatenates_b_after_the_drawn_yaw_and_shift():
     a = (np.array([[1.0, 0.0, 0.0]]), np.array([3]))
     b = (np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 1.0]]), np.array([1, 2]))
-    cfg = AugmentConfig(mix_translation_max=0.0, mix_rotation=(0.0, 0.0))
-    cloud, labels = enhanced_mix3d(a, b, cfg, rng)
-    assert np.allclose(cloud, np.concatenate([a[0], b[0]]))
+    cloud, labels = enhanced_mix3d(a, b, AugmentConfig(), np.random.default_rng(0))
+    yaw, shift = _replay_mix_draws(0)
+    moved = rotate_yaw(b[0], yaw)
+    moved[:, 0] += shift
+    assert np.array_equal(cloud, np.concatenate([a[0], moved]))
     assert np.array_equal(labels, [3, 1, 2])
 
 
@@ -112,13 +121,14 @@ def test_rotation_maps_azimuth_additively():
     point = np.array([[1.0, 0.0, 0.5]])
     rotated = rotate_yaw(point, math.pi / 2.0)
     assert np.allclose(rotated, [[0.0, 1.0, 0.5]], atol=1e-12)
-    rng = np.random.default_rng(4)
-    cfg = AugmentConfig(mix_translation_max=0.0,
-                        mix_rotation=(math.pi / 2.0, math.pi / 2.0))
     cloud, _ = enhanced_mix3d(
         (np.zeros((0, 3)), np.zeros(0, dtype=int)),
-        (point, np.array([0])), cfg, rng)
-    assert np.allclose(cloud, [[0.0, 1.0, 0.5]], atol=1e-12)
+        (point, np.array([0])), AugmentConfig(), np.random.default_rng(4))
+    yaw, shift = _replay_mix_draws(4)
+    cloud[:, 0] -= shift
+    theta, _, _ = spherical_of_cloud(cloud)
+    assert theta[0] == pytest.approx(yaw, abs=1e-12)  # the point's azimuth was 0
+    assert cloud[0, 2] == 0.5
 
 
 def test_pipeline_prob_zero_is_identity():
@@ -174,5 +184,13 @@ def test_random_keep_set_fractions():
 def test_augment_config_validation():
     with pytest.raises(ValueError):
         AugmentConfig(apply_prob=1.5)
-    with pytest.raises(ValueError):
-        AugmentConfig(keep_fractions=(0.0,))
+    # the ranges are fixed: only apply_prob is settable
+    cfg = AugmentConfig()
+    assert cfg.mix_translation_max == 20.0
+    assert cfg.mix_rotation == (0.0, 2.0 * np.pi)
+    assert cfg.keep_fractions == (0.5, 0.75)
+    for field in ("mix_translation_max", "mix_rotation", "keep_fractions"):
+        with pytest.raises(TypeError):
+            AugmentConfig(**{field: getattr(cfg, field)})
+    with pytest.raises(TypeError):
+        AugmentConfig(0.5, 20.0)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ddfe.beams import (
     DEFAULT_SIGMAS,
@@ -14,13 +17,17 @@ from ddfe.beams import (
     smooth_profile,
 )
 from ddfe.sensors import (
+    PRESETS,
     ProjectionParams,
     SensorConfig,
     SphericalCoords,
+    beam_inclinations,
     get_preset,
+    spherical_of_cloud,
 )
 
 PP = ProjectionParams()
+PROFILES = {name: beam_profile(cfg, PP) for name, cfg in PRESETS.items()}
 
 
 def test_waymo_rasterization_every_second_column():
@@ -41,6 +48,31 @@ def test_identical_inclinations_or_together():
     cfg = SensorConfig("twins", 4, 2, 0.0, 1e-6)
     _, raw_v = rasterize_beams(cfg, PP)
     assert raw_v.sum() == 1
+
+
+@pytest.mark.parametrize("config, index, elevation", [
+    # 64 beams over [-40, 0]: the 16 below -30 would all land in row 0
+    (SensorConfig("low", 512, 64, -40.0, 0.0), 0, "-39.375"),
+    (SensorConfig("high", 64, 8, -10.0, 16.0), 7, "16.0"),
+    (SensorConfig("just-below", 64, 32, -31.2500001, 8.75), 0, "-30.0000000968"),
+])
+def test_beam_outside_the_image_band_is_rejected(config, index, elevation):
+    with pytest.raises(ValueError, match=(
+            rf"vertical beam {index} of sensor '{config.name}' at {elevation}\S* deg "
+            r"lies outside the projection image's \[-30.0, 15.0\] deg elevation band")):
+        beam_profile(config, PP)
+
+
+def test_beams_on_the_image_band_edges_are_kept():
+    # lowest beam at exactly -30.0 and (pandaset) top beam at exactly 15.0
+    edge = SensorConfig("edge", 64, 32, -31.25, 8.75)
+    assert beam_inclinations(edge)[1][0] == -30.0
+    assert rasterize_beams(edge, PP)[1][0] == 1.0
+    pandaset = get_preset("pandaset")
+    assert beam_inclinations(pandaset)[1][-1] == 15.0
+    assert rasterize_beams(pandaset, PP)[1][-1] == 1.0
+    for config in PRESETS.values():
+        assert rasterize_beams(config, PP)[1].sum() == config.v_beams
 
 
 def test_raw_vectors_binary():
@@ -149,16 +181,26 @@ def test_density_channel_order_follows_ascending_sigma():
 
 
 def test_density_for_cloud_empty_and_single():
-    profile = beam_profile(get_preset("semantickitti"), PP)
+    profile = PROFILES["semantickitti"]
     empty = density_for_cloud(profile, np.zeros((0, 3)), PP)
     assert empty.shape == (0, 4)
-    cloud = np.array([[5.0, 1.0, -1.0]])
-    row = density_for_cloud(profile, cloud, PP)
-    from ddfe.sensors import to_spherical
-
-    single = point_density(profile, to_spherical(cloud[0]), PP)
-    assert np.allclose(row[0], single, rtol=1e-12)
+    row = density_for_cloud(profile, np.array([[5.0, 1.0, -1.0]]), PP)
+    assert row.shape == (1, 4)
     assert np.all(row >= 0.0) and np.all(np.isfinite(row))
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(PRESETS)),
+       cloud=hnp.arrays(np.float64, st.tuples(st.integers(1, 16), st.just(3)),
+                        elements=st.floats(-500.0, 500.0, allow_nan=False)))
+def test_point_density_is_density_for_cloud_row_bytewise(name, cloud):
+    assume(np.all(np.linalg.norm(cloud, axis=1) > 0.0))
+    profile = PROFILES[name]
+    rows = density_for_cloud(profile, cloud, PP)
+    theta, phi, r = spherical_of_cloud(cloud)
+    for i in range(len(cloud)):
+        single = point_density(profile, SphericalCoords(theta[i], phi[i], r[i]), PP)
+        assert single.tobytes() == rows[i].tobytes()
 
 
 def test_density_for_cloud_permutation_equivariance():

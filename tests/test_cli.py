@@ -207,13 +207,27 @@ def test_data_errors_exit_2(tmp_path, capsys):
         assert run(["stats", "--sensor", "nuscenes", "--inputs", str(scans)]) == 2
         assert "point index 1" in capsys.readouterr().err
 
+    # 64 beams over [-40, 0]: 16 of them lie below the image's -30 deg edge
+    low = tmp_path / "low.cfg"
+    low.write_text("name = low\nh_beams = 512\nv_beams = 64\n"
+                   "fov_min_deg = -40.0\nfov_max_deg = 0.0\n")
+    scan = tmp_path / "one.bin"
+    dio.write_scan(np.array([[5.0, 1.0, -1.0]]), scan)
+    out = tmp_path / "low.f32"
+    capsys.readouterr()
+    assert run(["density", "--sensor", str(low), "--input", str(scan),
+                "--out", str(out)]) == 2
+    assert "vertical beam 0 of sensor 'low' at -39.375 deg" in capsys.readouterr().err
+    assert not out.exists()
 
-@pytest.mark.parametrize("command", ["train", "evaluate", "report-feature-similarity"])
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "report-feature-similarity",
+                                     "stats"])
 def test_empty_scan_exits_2_naming_it(tmp_path, sim_cfg, command):
     data = tmp_path / "data"
     scans = _simulate(data, sim_cfg, scenes=1, sub="sim16")
     model = str(tmp_path / "m.ckpt")
-    if command != "train":
+    if command in ("evaluate", "report-feature-similarity"):
         assert run(["train", "--sensor", sim_cfg, "--data", scans, "--epochs", "1",
                     "--out", model, "--quiet"]) == 0
     for ext in (".bin", ".label"):
@@ -224,6 +238,7 @@ def test_empty_scan_exits_2_naming_it(tmp_path, sim_cfg, command):
         "evaluate": ["--sensor", sim_cfg, "--data", scans, "--model", model],
         "report-feature-similarity": ["--sensors", sim_cfg, sim_cfg,
                                       "--data", str(data), "--model", model],
+        "stats": ["--sensor", sim_cfg, "--inputs", scans],
     }[command]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-m", "ddfe", command, *args],

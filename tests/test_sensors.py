@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,12 +13,10 @@ from ddfe.sensors import (
     get_preset,
     load_sensor_config,
     parse_sensor_config,
-    project,
     project_cols,
     project_rows,
     resolve_sensor,
-    to_spherical,
-    unproject,
+    spherical_of_cloud,
 )
 
 TABLE = {
@@ -74,28 +73,26 @@ def test_beam_inclination_lengths_all_presets():
 
 
 def test_to_spherical_axis_point():
-    coords = to_spherical((1.0, 0.0, 0.0))
-    assert coords.azimuth == 0.0
-    assert coords.elevation == 0.0
-    assert coords.range == 1.0
+    theta, phi, r = spherical_of_cloud([[1.0, 0.0, 0.0]])
+    assert (theta[0], phi[0], r[0]) == (0.0, 0.0, 1.0)
 
 
 def test_to_spherical_345_triangle():
-    coords = to_spherical((0.0, 3.0, 4.0))
-    assert coords.azimuth == pytest.approx(math.pi / 2, abs=1e-12)
-    assert coords.elevation == pytest.approx(math.asin(0.8), abs=1e-12)
-    assert coords.range == pytest.approx(5.0, abs=1e-12)
+    theta, phi, r = spherical_of_cloud([[0.0, 3.0, 4.0]])
+    assert theta[0] == pytest.approx(math.pi / 2, abs=1e-12)
+    assert phi[0] == pytest.approx(math.asin(0.8), abs=1e-12)
+    assert r[0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_to_spherical_origin_rejected():
-    with pytest.raises(ValueError, match="origin"):
-        to_spherical((0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match=r"origin \(point index 0\)"):
+        spherical_of_cloud([[0.0, 0.0, 0.0]])
 
 
 def test_to_spherical_wraps_azimuth():
-    coords = to_spherical((1.0, -1e-6, 0.0))
-    assert 0.0 <= coords.azimuth < 2.0 * math.pi
-    assert coords.azimuth > math.pi  # just below 2*pi, not negative
+    theta, _, _ = spherical_of_cloud([[1.0, -1e-6, 0.0]])
+    assert 0.0 <= theta[0] < 2.0 * math.pi
+    assert theta[0] > math.pi  # just below 2*pi, not negative
 
 
 def test_spherical_coords_positive_range():
@@ -103,23 +100,38 @@ def test_spherical_coords_positive_range():
         SphericalCoords(0.0, 0.0, 0.0)
 
 
+def test_projection_image_is_fixed():
+    params = ProjectionParams()
+    assert (params.height, params.width) == (512, 5120)
+    assert (params.proj_fov_min_deg, params.proj_fov_max_deg) == (-30.0, 15.0)
+    assert params.proj_fov_min_rad == math.radians(-30.0)
+    assert params.proj_fov_max_rad == math.radians(15.0)
+    for field in ("height", "width", "proj_fov_min_deg", "proj_fov_max_deg"):
+        with pytest.raises(TypeError):
+            ProjectionParams(**{field: getattr(params, field)})
+    with pytest.raises(TypeError):
+        ProjectionParams(512)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.width = 1024
+
+
 def test_project_midpoints():
     params = ProjectionParams()
-    col, row = project(SphericalCoords(math.pi, math.radians(-7.5), 1.0), params)
-    assert (col, row) == (2560, 256)
+    assert int(project_cols(math.pi, params)) == 2560
+    assert int(project_rows(math.radians(-7.5), params)) == 256
 
 
 def test_project_lower_bounds():
     params = ProjectionParams()
-    col, row = project(SphericalCoords(0.0, math.radians(-30.0), 1.0), params)
-    assert (col, row) == (0, 0)
+    assert int(project_cols(0.0, params)) == 0
+    assert int(project_rows(math.radians(-30.0), params)) == 0
 
 
 def test_project_upper_edge_wraps_and_clamps():
     params = ProjectionParams()
     theta = 2.0 * math.pi * (1.0 - 1e-9)
-    col, row = project(SphericalCoords(theta, math.radians(15.0), 1.0), params)
-    assert (col, row) == (5119, 511)
+    assert int(project_cols(theta, params)) == 5119
+    assert int(project_rows(math.radians(15.0), params)) == 511
     # a full turn maps to column 0, not W
     assert int(project_cols(2.0 * math.pi, params)) == 0
 
@@ -131,13 +143,16 @@ def test_project_clamps_out_of_fov_elevations():
 
 
 def test_project_unproject_round_trip_sampled():
+    # the angular center of each sampled pixel projects back onto it
     params = ProjectionParams()
     rng = np.random.default_rng(0)
     cols = rng.integers(0, params.width, size=500)
     rows = rng.integers(0, params.height, size=500)
-    for col, row in zip(cols, rows):
-        theta, phi = unproject(int(col), int(row), params)
-        assert project(SphericalCoords(theta, phi, 1.0), params) == (col, row)
+    theta = (cols + 0.5) / params.width * (2.0 * math.pi)
+    lo, hi = params.proj_fov_min_rad, params.proj_fov_max_rad
+    phi = lo + (rows + 0.5) / params.height * (hi - lo)
+    assert np.array_equal(project_cols(theta, params), cols)
+    assert np.array_equal(project_rows(phi, params), rows)
 
 
 def test_projection_monotonicity():
