@@ -20,7 +20,7 @@ from . import io as ddfe_io
 from .augment import AugmentConfig, augment_pipeline
 from .beams import DEFAULT_SIGMAS, band_center_density, beam_profile, density_for_cloud
 from .embedding import (
-    Model,
+    RANGE_BIN_EDGES,
     TrainConfig,
     binned_voxel_features,
     checkpoint_tensors,
@@ -29,7 +29,7 @@ from .embedding import (
     model_from_tensors,
     train,
 )
-from .sensors import ProjectionParams, SensorConfig, resolve_sensor
+from .sensors import ProjectionParams, resolve_sensor
 from .simulate import CLASS_NAMES, make_dataset
 from .stats import DensityReservoir, fit_clip
 
@@ -38,27 +38,16 @@ class UsageError(Exception):
     pass
 
 
-class DataError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
-
-
-def _sensor(spec: str) -> SensorConfig:
-    try:
-        return resolve_sensor(spec)
-    except (KeyError, ValueError, OSError) as exc:
-        raise DataError(str(exc)) from exc
 
 
 def _load_pair(bin_path: str) -> tuple[np.ndarray, np.ndarray]:
     cloud = ddfe_io.read_scan(bin_path)
     label_path = os.path.splitext(bin_path)[0] + ".label"
     if not os.path.exists(label_path):
-        raise DataError(f"missing label file {label_path}")
+        raise ValueError(f"missing label file {label_path}")
     labels = ddfe_io.read_labels(label_path, cloud.shape[0])
     return cloud, labels
 
@@ -67,7 +56,7 @@ def _scan_paths(directory: str) -> list[str]:
     """The directory's .bin scans in sorted name order; at least one."""
     paths = sorted(glob.glob(os.path.join(directory, "*.bin")))
     if not paths:
-        raise DataError(f"no .bin scans found in {directory}")
+        raise ValueError(f"no .bin scans found in {directory}")
     return paths
 
 
@@ -79,7 +68,9 @@ def _load_dataset(directory: str) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _cmd_simulate(args) -> None:
-    config = _sensor(args.sensor)
+    if args.scenes < 1:
+        raise UsageError(f"--scenes must be >= 1, got {args.scenes}")
+    config = resolve_sensor(args.sensor)
     os.makedirs(args.out, exist_ok=True)
     scans = make_dataset(args.scenes, config, args.seed)
     for i, (cloud, labels) in enumerate(scans):
@@ -92,7 +83,7 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_density(args) -> None:
-    config = _sensor(args.sensor)
+    config = resolve_sensor(args.sensor)
     cloud = ddfe_io.read_scan(args.input)
     profile = beam_profile(config)
     values = density_for_cloud(profile, cloud, ProjectionParams())
@@ -104,7 +95,7 @@ def _cmd_density(args) -> None:
 
 
 def _cmd_stats(args) -> None:
-    config = _sensor(args.sensor)
+    config = resolve_sensor(args.sensor)
     paths = _scan_paths(args.inputs)
     profile = beam_profile(config)
     proj = ProjectionParams()
@@ -112,7 +103,7 @@ def _cmd_stats(args) -> None:
     for i, path in enumerate(paths):
         cloud = ddfe_io.read_scan(path)
         if len(cloud) == 0:
-            raise DataError(f"scan {i} of the dataset is empty")
+            raise ValueError(f"scan {i} of the dataset is empty")
         reservoir.update(density_for_cloud(profile, cloud, proj))
     clip = fit_clip(reservoir)
     print(f"fit clip on {len(paths)} scans")
@@ -126,7 +117,7 @@ def _cmd_augment(args) -> None:
         cfg = AugmentConfig(apply_prob=args.prob)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    config = _sensor(args.sensor)
+    config = resolve_sensor(args.sensor)
     sample = _load_pair(args.input)
     partner = _load_pair(args.mix)
     rng = np.random.default_rng(args.seed)
@@ -141,7 +132,7 @@ def _cmd_augment(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    config = _sensor(args.sensor)
+    config = resolve_sensor(args.sensor)
     hyper = TrainConfig.from_file(args.config) if args.config else TrainConfig()
     overrides = {
         "epochs": args.epochs, "batch_size": args.batch, "voxel_size": args.voxel,
@@ -166,13 +157,9 @@ def _cmd_train(args) -> None:
           f"wrote {args.out}")
 
 
-def _load_model(path: str) -> Model:
-    return model_from_tensors(ddfe_io.load_checkpoint(path))
-
-
 def _cmd_evaluate(args) -> None:
-    config = _sensor(args.sensor)
-    model = _load_model(args.model)
+    config = resolve_sensor(args.sensor)
+    model = model_from_tensors(ddfe_io.load_checkpoint(args.model))
     dataset = _load_dataset(args.data)
     report = evaluate(dataset, model, config)
     text = report.format(class_names=CLASS_NAMES)
@@ -186,10 +173,10 @@ def _cmd_evaluate(args) -> None:
 def _cmd_density_match(args) -> None:
     if len(args.sensors) < 2:
         raise UsageError("report-density-match needs at least two --sensors")
-    configs = [_sensor(s) for s in args.sensors]
+    configs = [resolve_sensor(s) for s in args.sensors]
     distances = np.asarray(args.distances, dtype=np.float64)
-    if distances.size == 0 or np.any(distances <= 0):
-        raise UsageError("--distances must be positive")
+    if not np.all((distances > 0) & (distances < np.inf)):
+        raise UsageError("--distances must be positive and finite")
     proj = ProjectionParams()
     profiles = [beam_profile(c, proj) for c in configs]
     # sigma=10 channel (index 0) at band-center angles.
@@ -218,21 +205,21 @@ def _cmd_density_match(args) -> None:
 def _cmd_feature_similarity(args) -> None:
     if len(args.sensors) != 2:
         raise UsageError("report-feature-similarity needs exactly two --sensors")
-    configs = [_sensor(s) for s in args.sensors]
-    model = _load_model(args.model)
-    edges = np.arange(0.0, 55.0, 5.0)
+    configs = [resolve_sensor(s) for s in args.sensors]
+    model = model_from_tensors(ddfe_io.load_checkpoint(args.model))
     means = []
     for config in configs:
         directory = os.path.join(args.data, config.name)
         if not os.path.isdir(directory):
-            raise DataError(
+            raise ValueError(
                 f"expected scans for sensor {config.name!r} in {directory}"
             )
         dataset = _load_dataset(directory)
-        mean, _ = binned_voxel_features(dataset, model, config, edges)
+        mean, _ = binned_voxel_features(dataset, model, config)
         means.append(mean)
     matrix = feature_similarity_matrix(means[0], means[1])
-    labels = [f"{int(edges[i])}-{int(edges[i + 1])}m" for i in range(len(edges) - 1)]
+    labels = [f"{int(lo)}-{int(hi)}m"
+              for lo, hi in zip(RANGE_BIN_EDGES[:-1], RANGE_BIN_EDGES[1:])]
     print(f"L2 distance between mean voxel features: rows {configs[0].name}, "
           f"columns {configs[1].name}")
     print(f"{'':>8s} " + " ".join(f"{b:>8s}" for b in labels))
@@ -320,24 +307,20 @@ def build_parser() -> _Parser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    """Run one subcommand; the only place an exception becomes an exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError("missing subcommand (try --help)")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    try:
         args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError, ValueError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     return 0
 
 

@@ -11,7 +11,8 @@ trained and scored end to end at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import typing
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,6 +36,9 @@ POINT_CHANNELS = 16
 VOXEL_CHANNELS = 16
 FUSED_CHANNELS = 32
 HIDDEN = 16
+
+# Voxel-center range bins of the feature report: 0-50 m in 5 m steps.
+RANGE_BIN_EDGES = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0)
 
 
 @dataclass(frozen=True)
@@ -224,13 +228,8 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        return cls(**parse_key_values(read_ascii(path), _TRAIN_CONFIG_TYPES))
-
-
-_TRAIN_CONFIG_TYPES = {
-    "epochs": int, "batch_size": int, "base_lr": float, "lr_decay": float,
-    "voxel_size": float, "seed": int, "num_classes": int,
-}
+        """One optional key per field, parsed with the field's type."""
+        return cls(**parse_key_values(read_ascii(path), typing.get_type_hints(cls)))
 
 
 def inverse_frequency_weights(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -394,17 +393,11 @@ def evaluate(
 
 # --- checkpoints ----------------------------------------------------------
 
-_META_FLAGS = ("use_attention", "use_density")
-
 
 def checkpoint_tensors(model: Model) -> dict[str, np.ndarray]:
-    """Flatten a model into named arrays (clip appended as labeled tensors)."""
-    out: dict[str, np.ndarray] = {
-        "meta.num_classes": np.float64(model.config.num_classes),
-        "meta.voxel_size": np.float64(model.config.voxel_size),
-    }
-    for flag in _META_FLAGS:
-        out[f"meta.{flag}"] = np.float64(getattr(model.config, flag))
+    """Flatten a model into named arrays: one float64 `meta.<field>` per
+    EmbeddingConfig field in field order, the parameters, then the clip."""
+    out = {f"meta.{k}": np.float64(v) for k, v in asdict(model.config).items()}
     for name, tensor in model.params.tensors.items():
         out[name] = tensor.data
     if model.clip is not None:
@@ -419,11 +412,10 @@ def model_from_tensors(tensors: dict[str, np.ndarray]) -> Model:
             raise ValueError(f"checkpoint is missing tensor {name!r}")
         return tensors[name]
 
-    config = EmbeddingConfig(
-        num_classes=int(get("meta.num_classes")),
-        voxel_size=float(get("meta.voxel_size")),
-        **{f: bool(get(f"meta.{f}")) for f in _META_FLAGS},
-    )
+    config = EmbeddingConfig(**{
+        field: kind(get(f"meta.{field}"))
+        for field, kind in typing.get_type_hints(EmbeddingConfig).items()
+    })
     params = EmbeddingParams(config, np.random.default_rng(0))
     for name, tensor in params.tensors.items():
         stored = get(name)
@@ -446,16 +438,16 @@ def binned_voxel_features(
     dataset: list[tuple[np.ndarray, np.ndarray]],
     model: Model,
     sensor_config: SensorConfig,
-    bin_edges: np.ndarray | None = None,
+    bin_edges: np.ndarray | tuple[float, ...] = RANGE_BIN_EDGES,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean fused voxel feature per voxel-center range bin.
 
-    Returns (means (B, 32), counts (B,)); bins default to 5 m steps over
-    0-50 m.  Empty bins yield NaN rows.  The dataset passes the same rules
-    as in `train` and `evaluate`: labels are checked and voxel labels
-    computed, though neither changes the features.
+    Returns (means (B, 32), counts (B,)); bins default to RANGE_BIN_EDGES.
+    Empty bins yield NaN rows.  The dataset passes the same rules as in
+    `train` and `evaluate`: labels are checked and voxel labels computed,
+    though neither changes the features.
     """
-    edges = np.arange(0.0, 55.0, 5.0) if bin_edges is None else np.asarray(bin_edges)
+    edges = np.asarray(bin_edges)
     n_bins = edges.size - 1
     sums = np.zeros((n_bins, FUSED_CHANNELS))
     counts = np.zeros(n_bins, dtype=np.int64)

@@ -20,7 +20,8 @@ LABEL_LIMIT = 1 << 16  # .label files keep class ids in the low 16 bits
 
 def check_cloud(cloud) -> np.ndarray:
     """Return the cloud as (N, 3) float64; a NaN or inf raises, naming its point index."""
-    cloud = np.asarray(cloud, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # a float32 signalling NaN warns as it widens
+        cloud = np.asarray(cloud, dtype=np.float64)
     if cloud.ndim != 2 or cloud.shape[1] != 3:
         raise ValueError(f"expected (N, 3) cloud, got shape {cloud.shape}")
     finite = np.isfinite(cloud)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +142,8 @@ def project_rows(phi, params: ProjectionParams):
 
 # --- sensor config files -------------------------------------------------
 #
-# The `key = value` format of io.parse_key_values, with every key required:
+# The `key = value` format of io.parse_key_values, one key per SensorConfig
+# field, every key required:
 #
 #     name = my-sensor
 #     h_beams = 512
@@ -149,15 +151,11 @@ def project_rows(phi, params: ProjectionParams):
 #     fov_min_deg = -25.0
 #     fov_max_deg = 3.0
 
-_CONFIG_TYPES = {
-    "name": str, "h_beams": int, "v_beams": int,
-    "fov_min_deg": float, "fov_max_deg": float,
-}
-
 
 def parse_sensor_config(text: str) -> SensorConfig:
-    fields = parse_key_values(text, _CONFIG_TYPES)
-    missing = [k for k in _CONFIG_TYPES if k not in fields]
+    types = typing.get_type_hints(SensorConfig)
+    fields = parse_key_values(text, types)
+    missing = [k for k in types if k not in fields]
     if missing:
         raise ValueError("missing keys: " + ", ".join(missing))
     return SensorConfig(**fields)
@@ -168,12 +166,12 @@ def load_sensor_config(path) -> SensorConfig:
 
 
 def resolve_sensor(spec: str) -> SensorConfig:
-    """Resolve a preset name or a config-file path to a SensorConfig."""
+    """Resolve a preset name or a config-file path (ValueError if neither)."""
     if spec.lower() in PRESETS:
         return PRESETS[spec.lower()]
     if os.path.exists(spec):
         return load_sensor_config(spec)
-    raise KeyError(
+    raise ValueError(
         f"sensor {spec!r} is neither a preset ({', '.join(sorted(PRESETS))}) "
         "nor an existing config file"
     )

@@ -70,6 +70,21 @@ def test_stats_prints_clip_params_per_channel(tmp_path, sim_cfg, capsys):
                 "--out", str(tmp_path / "clip.txt")]) == 1
 
 
+def test_stats_prints_the_clip_that_train_stores(tmp_path, sim_cfg, capsys):
+    scans = _simulate(tmp_path, sim_cfg)
+    capsys.readouterr()
+    assert run(["stats", "--sensor", sim_cfg, "--inputs", scans, "--seed", "3"]) == 0
+    printed = [dict(field.split("=") for field in line.split(":")[1].split())
+               for line in capsys.readouterr().out.splitlines()[1:]]
+    ckpt = str(tmp_path / "m.ckpt")
+    assert run(["train", "--sensor", sim_cfg, "--data", scans, "--epochs", "1",
+                "--seed", "3", "--out", ckpt, "--quiet"]) == 0
+    tensors = dio.load_checkpoint(ckpt)
+    assert [(p["m"], p["l"]) for p in printed] == [
+        (f"{m:.6g}", f"{l:.6g}")
+        for m, l in zip(tensors["clip.mid"], tensors["clip.half_span"])]
+
+
 def test_augment_deterministic(tmp_path, sim_cfg, capsys):
     scans = _simulate(tmp_path, sim_cfg)
     a = os.path.join(scans, "000000.bin")
@@ -163,9 +178,17 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run(["density", "--bogus-flag", "x"]) == 1
     assert run(["report-density-match", "--sensors", "waymo",
                 "--distances", "10"]) == 1
-    assert run(["report-density-match", "--sensors", "waymo", "nuscenes",
-                "--distances", "-5"]) == 1
     capsys.readouterr()
+    for distance in ("-5", "0", "inf", "nan"):
+        assert run(["report-density-match", "--sensors", "waymo", "nuscenes",
+                    "--distances", distance, "12"]) == 1
+        assert "--distances must be positive and finite" in capsys.readouterr().err
+    for scenes in ("0", "-2"):
+        out = tmp_path / f"sim_{scenes}"
+        assert run(["simulate", "--sensor", "nuscenes", "--scenes", scenes,
+                    "--out", str(out)]) == 1
+        assert f"--scenes must be >= 1, got {scenes}" in capsys.readouterr().err
+        assert not out.exists()
     assert run(["train", "--sensor", "nuscenes", "--data", str(tmp_path),
                 "--batch", "0", "--out", str(tmp_path / "m.ckpt")]) == 1
     assert "batch_size must be >= 1, got 0" in capsys.readouterr().err
@@ -184,8 +207,10 @@ def test_data_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.bin")
     assert run(["density", "--sensor", "nuscenes", "--input", missing,
                 "--out", str(tmp_path / "d.f32")]) == 2
+    capsys.readouterr()
     assert run(["density", "--sensor", "not-a-sensor", "--input", missing,
                 "--out", str(tmp_path / "d.f32")]) == 2
+    assert "data error: sensor 'not-a-sensor' is neither a preset" in capsys.readouterr().err
     assert run(["train", "--sensor", "nuscenes", "--data", str(tmp_path),
                 "--out", str(tmp_path / "m.ckpt")]) == 2
     bad = tmp_path / "bad.bin"

@@ -49,6 +49,14 @@ def test_truncated_scan_names_offset(tmp_path):
         dio.read_scan(path)
 
 
+def test_signalling_nan_is_named_without_a_cast_warning(tmp_path):
+    snan = b"\x00\x00\x81\x7f"  # float32 0x7f810000; widening it to float64 warns
+    path = tmp_path / "snan.bin"
+    path.write_bytes(b"\x00" * 24 + snan + b"\x00" * 4)  # point 1's z
+    with pytest.raises(ValueError, match="non-finite coordinates at point index 1$"):
+        dio.read_scan(path)
+
+
 def test_intensity_discarded_and_written_as_zero(tmp_path):
     path = tmp_path / "scan.bin"
     records = np.array([[1.0, 2.0, 3.0, 0.73]], dtype="<f4")

@@ -218,6 +218,7 @@ def _segment_max_reference(x, seg, m):
     return out, owner
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the palette multiplies +-inf
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), m=st.integers(1, 5), d=st.integers(1, 9))
 def test_segment_max_matches_bruteforce_values_and_routing(data, m, d):

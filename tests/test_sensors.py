@@ -206,5 +206,5 @@ def test_resolve_sensor(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("name = c\nh_beams = 8\nv_beams = 4\nfov_min_deg = -5.0\nfov_max_deg = 5.0\n")
     assert resolve_sensor(str(path)).h_beams == 8
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="neither a preset"):
         resolve_sensor("no-such-sensor")
