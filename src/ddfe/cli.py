@@ -312,6 +312,8 @@ def run(argv) -> int:
         args = build_parser().parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError("missing subcommand (try --help)")
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

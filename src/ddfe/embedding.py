@@ -219,9 +219,9 @@ class TrainConfig:
     num_classes: int = 4
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "num_classes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("num_classes", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("base_lr", "lr_decay", "voxel_size"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
@@ -308,7 +308,6 @@ def train(
         scene_loss_sum = 0.0
         for step, start in enumerate(range(0, len(scenes), hyper.batch_size)):
             batch = order[start : start + hyper.batch_size]
-            optimizer.zero_grad()
             total = None
             for idx in batch:
                 loss = scene_loss(scenes[idx], params, clip, class_weights) * (1.0 / batch.size)
@@ -317,8 +316,7 @@ def train(
                 raise ValueError(
                     f"non-finite loss at epoch {epoch}, step {step}; training aborted"
                 )
-            total.backward()
-            optimizer.step()
+            optimizer.step(total.backward())
             scene_loss_sum += float(total.data) * batch.size
         if progress is not None:
             progress(epoch, scene_loss_sum / len(scenes))

@@ -78,7 +78,11 @@ def write_scan(cloud: np.ndarray, path) -> None:
     """Write an (N, 3) cloud as float32 (x, y, z, 0) records."""
     cloud = check_cloud(cloud)
     records = np.zeros((cloud.shape[0], 4), dtype="<f4")
-    records[:, :3] = cloud
+    with np.errstate(over="ignore"):  # checked below: as inf, read_scan would reject it
+        records[:, :3] = cloud
+    overflow = np.flatnonzero(np.isinf(records[:, :3]))
+    if overflow.size:
+        raise ValueError(f"coordinate beyond float32 range at point index {overflow[0] // 3}")
     with open(path, "wb") as fh:
         fh.write(records.tobytes())
 

@@ -16,18 +16,17 @@ from .io import check_labels
 
 
 class Tensor:
-    """Array value with a gradient buffer and a backward closure.
+    """Array value with a backward closure.
 
     A tensor requires a gradient if it was created with one or if any parent
     requires one.  One that requires none is a leaf of the tape: it keeps no
     parents or closure, and backward() never hands it a gradient.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents if self.requires_grad else ()
         self._backward_fn = backward_fn if self.requires_grad else None
@@ -61,8 +60,11 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def backward(self):
-        """Reverse-mode accumulation from a scalar output."""
+    def backward(self) -> dict[Tensor, np.ndarray]:
+        """{leaf: gradient} of a scalar output, for each leaf requiring one.
+
+        No tensor keeps a gradient: each inner one is freed once its node has used it.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -80,20 +82,18 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
-        for node in topo:  # inner gradients belong to this pass only
-            if node._backward_fn is not None:
-                node.grad = None
-        self.grad = np.ones_like(self.data)
+        grads = {self: np.ones_like(self.data)} if self.requires_grad else {}
         for node in reversed(topo):
-            if node._backward_fn is None or node.grad is None:
+            if node._backward_fn is None or node not in grads:
                 continue
-            for parent, g in zip(node._parents, node._backward_fn(node.grad)):
+            for parent, g in zip(node._parents, node._backward_fn(grads.pop(node))):
                 if g is None or not parent.requires_grad:
                     continue
-                if parent.grad is None:
-                    parent.grad = g  # every backward_fn returns a buffer per parent
+                if parent in grads:
+                    grads[parent] += g
                 else:
-                    parent.grad += g
+                    grads[parent] = g  # every backward_fn returns a buffer per parent
+        return grads
 
 
 def as_tensor(value) -> Tensor:
@@ -391,13 +391,9 @@ class Adam:
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
-
-    def step(self):
-        grads = [np.zeros_like(p.data) if p.grad is None else p.grad
-                 for p in self.params]
+    def step(self, grads):
+        """One update from {parameter: gradient}; a parameter not in it gets zero."""
+        grads = [grads[p] if p in grads else np.zeros_like(p.data) for p in self.params]
         for i, g in enumerate(grads):
             if not np.isfinite(g).all():
                 raise ValueError(f"non-finite gradient in parameter {i}; step aborted")
@@ -425,12 +421,8 @@ def grad_check(fn, params) -> float:
     """
     h = 1e-5
     params = list(params)
-    for p in params:
-        p.grad = None
-    loss = fn()
-    loss.backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-                for p in params]
+    grads = fn().backward()
+    analytic = [grads[p] if p in grads else np.zeros_like(p.data) for p in params]
     max_rel = 0.0
     for pi, p in enumerate(params):
         p.data = np.ascontiguousarray(p.data)  # ravel below must be a view

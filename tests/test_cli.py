@@ -203,6 +203,21 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert "apply_prob must be in [0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "stats", "augment", "train"])
+def test_negative_seed_exits_1_before_any_output(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    missing = str(tmp_path / "nope.bin")
+    args = {
+        "simulate": ["--scenes", "1", "--out", str(out)],
+        "stats": ["--inputs", str(tmp_path)],
+        "augment": ["--input", missing, "--mix", missing, "--out", str(out)],
+        "train": ["--data", str(tmp_path), "--out", str(out)],
+    }[command]
+    assert run([command, "--sensor", "nuscenes", "--seed", "-1", *args]) == 1
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_data_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.bin")
     assert run(["density", "--sensor", "nuscenes", "--input", missing,

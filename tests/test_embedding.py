@@ -124,9 +124,9 @@ def test_forward_is_bitwise_the_reference_composition(small_scene, use_clip, use
     for forward in (forward_encoded, _reference_forward):
         params = _params(seed=4, use_attention=use_attention)
         point, fused = forward(small_scene, params, clip)
-        (nn.tensor_sum(point) + nn.tensor_sum(fused)).backward()
+        grads = (nn.tensor_sum(point) + nn.tensor_sum(fused)).backward()
         runs.append((point.data.tobytes(), fused.data.tobytes(),
-                     [p.grad.tobytes() for p in params.parameters() if p.grad is not None]))
+                     [grads[p].tobytes() for p in params.parameters() if p in grads]))
     assert runs[0] == runs[1]
 
 
@@ -259,6 +259,21 @@ def test_progress_reports_each_epochs_mean_scene_loss(monkeypatch):
                         (1, pytest.approx(sum(scene_losses[3:]) / 3, rel=1e-12))]
 
 
+def test_non_finite_loss_names_its_epoch_and_step(monkeypatch):
+    calls = []
+
+    def nan_at_fifth_scene(*args):
+        calls.append(args)
+        loss = scene_loss(*args)
+        return loss * np.nan if len(calls) == 5 else loss
+
+    monkeypatch.setattr(embedding, "scene_loss", nan_at_fifth_scene)
+    with pytest.raises(ValueError,
+                       match=r"^non-finite loss at epoch 1, step 1; training aborted$"):
+        train(make_dataset(3, SIM, seed=21), SIM, TrainConfig(epochs=2, batch_size=1, seed=0))
+    assert len(calls) == 5
+
+
 _UNTRAINED = Model(EmbeddingConfig(), _params(), None)
 
 # every entry that encodes a labelled dataset, called on a dataset
@@ -347,9 +362,9 @@ def test_train_config_file_round_trip(tmp_path):
     path.write_text("seed = 1\x0cepochs = x\n")
     with pytest.raises(ValueError, match="line 1: invalid value .* for 'seed'"):
         TrainConfig.from_file(path)
-    for field in ("epochs", "batch_size", "num_classes"):
-        path.write_text(f"{field} = 0\n")
-        with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+    for field, low in (("epochs", 1), ("batch_size", 1), ("num_classes", 1), ("seed", 0)):
+        path.write_text(f"{field} = {low - 1}\n")
+        with pytest.raises(ValueError, match=f"{field} must be >= {low}, got {low - 1}"):
             TrainConfig.from_file(path)
     for field in ("base_lr", "lr_decay", "voxel_size"):
         for value in ("nan", "inf", "0", "-0.5"):

@@ -57,6 +57,18 @@ def test_signalling_nan_is_named_without_a_cast_warning(tmp_path):
         dio.read_scan(path)
 
 
+def test_write_scan_rejects_coordinates_beyond_float32(tmp_path):
+    top = float(np.finfo(np.float32).max)
+    path = tmp_path / "top.bin"
+    dio.write_scan(np.array([[top, -top, 1.0]]), path)
+    assert np.array_equal(dio.read_scan(path), [[top, -top, 1.0]])
+    for value in (1e39, -1e39):
+        path = tmp_path / "over.bin"
+        with pytest.raises(ValueError, match="beyond float32 range at point index 1$"):
+            dio.write_scan(np.array([[0.0, 0.0, 1.0], [2.0, value, 1.0]]), path)
+        assert not path.exists()
+
+
 def test_intensity_discarded_and_written_as_zero(tmp_path):
     path = tmp_path / "scan.bin"
     records = np.array([[1.0, 2.0, 3.0, 0.73]], dtype="<f4")

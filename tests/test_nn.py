@@ -81,8 +81,8 @@ def test_relu_and_sigmoid_are_bitwise_the_reference_formulas(x, data):
             xt = nn.Tensor(x.copy(), requires_grad=True)
             y = op(xt)
             assert y.data.tobytes() == expected.tobytes()
-            nn.tensor_sum(nn.multiply(y, nn.Tensor(coeffs))).backward()
-            assert xt.grad.tobytes() == expected_grad.tobytes()
+            grads = nn.tensor_sum(nn.multiply(y, nn.Tensor(coeffs))).backward()
+            assert grads[xt].tobytes() == expected_grad.tobytes()
 
 
 
@@ -91,8 +91,7 @@ def test_sigmoid_value_and_derivative_at_zero():
     x = nn.Tensor(np.zeros((1, 1)), requires_grad=True)
     y = nn.tensor_sum(nn.sigmoid(x))
     assert float(y.data) == 0.5
-    y.backward()
-    assert x.grad[0, 0] == pytest.approx(0.25, abs=1e-15)
+    assert y.backward()[x][0, 0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_softmax_uniform_on_constant_rows():
@@ -161,14 +160,14 @@ def test_softmax_and_wce_are_bitwise_the_row_max_formulas(data, n, k):
         loss_ref, dlogits_ref = _wce_reference(x, labels, weights)
         xt = nn.Tensor(x.copy(), requires_grad=True)
         y = nn.softmax(xt)
-        nn.tensor_sum(nn.multiply(y, nn.Tensor(g))).backward()
+        dx = nn.tensor_sum(nn.multiply(y, nn.Tensor(g))).backward()[xt]
         logits = nn.Tensor(x.copy(), requires_grad=True)
         loss = nn.weighted_cross_entropy(logits, labels, weights)
-        loss.backward()
+        dlogits = loss.backward()[logits]
     assert y.data.tobytes() == y_ref.tobytes()
-    assert xt.grad.tobytes() == dx_ref.tobytes()
+    assert dx.tobytes() == dx_ref.tobytes()
     assert loss.data.tobytes() == loss_ref.tobytes()
-    assert logits.grad.tobytes() == dlogits_ref.tobytes()
+    assert dlogits.tobytes() == dlogits_ref.tobytes()
 
 
 # --- segment reductions -----------------------------------------------------
@@ -192,16 +191,14 @@ def test_segment_mean_backward_divides_by_count():
     x = nn.Tensor(np.ones((6, 2)), requires_grad=True)
     seg = np.array([0, 0, 0, 1, 1, 1])
     loss = nn.tensor_sum(nn.segment_mean(x, seg, 2))
-    loss.backward()
-    assert np.allclose(x.grad, 1.0 / 3.0)
+    assert np.allclose(loss.backward()[x], 1.0 / 3.0)
 
 
 def test_segment_max_routes_gradient_to_first_argmax():
     x = nn.Tensor(np.array([[1.0], [5.0], [5.0], [2.0]]), requires_grad=True)
     seg = np.array([0, 0, 0, 0])
     loss = nn.tensor_sum(nn.segment_max(x, seg, 1))
-    loss.backward()
-    assert np.array_equal(x.grad, [[0.0], [1.0], [0.0], [0.0]])
+    assert np.array_equal(loss.backward()[x], [[0.0], [1.0], [0.0], [0.0]])
 
 
 def _segment_max_reference(x, seg, m):
@@ -235,13 +232,13 @@ def test_segment_max_matches_bruteforce_values_and_routing(data, m, d):
     assert y.data.tobytes() == expected.tobytes()
     coeffs = np.arange(1.0, m * d + 1).reshape(m, d)  # distinct, so misrouting shows
     coeffs[-1, -1] = -0.0
-    nn.tensor_sum(nn.multiply(y, nn.Tensor(coeffs))).backward()
+    grads = nn.tensor_sum(nn.multiply(y, nn.Tensor(coeffs))).backward()
     expected_grad = np.zeros_like(x)
     for s in range(m):
         for c in range(d):
             # a sum of the routed coefficients: 0.0 + -0.0 is +0.0
             expected_grad[owner[s, c], c] = 0.0 + coeffs[s, c]
-    assert xt.grad.tobytes() == expected_grad.tobytes()
+    assert grads[xt].tobytes() == expected_grad.tobytes()
 
 
 def test_segment_reduce_gradients_match_finite_differences():
@@ -412,9 +409,9 @@ def test_lovasz_is_bitwise_the_stable_sort_version(data, n, k):
     expected_loss, expected_grad = _lovasz_stable_sort(probs, labels)
     pt = nn.Tensor(probs, requires_grad=True)
     loss = nn.lovasz_softmax(pt, labels)
-    loss.backward()
+    grads = loss.backward()
     assert loss.data.tobytes() == np.float64(expected_loss).tobytes()
-    assert pt.grad.tobytes() == expected_grad.tobytes()
+    assert grads[pt].tobytes() == expected_grad.tobytes()
 
 
 def test_lovasz_rejects_unnormalized_rows():
@@ -447,25 +444,23 @@ def test_lovasz_gradient_through_softmax():
 def test_adam_zero_gradient_leaves_params_unchanged():
     p = nn.Tensor(np.array([1.0, -2.0]), requires_grad=True)
     opt = nn.Adam([p], lr=1e-3)
-    p.grad = np.zeros(2)
-    opt.step()
-    assert np.array_equal(p.data, [1.0, -2.0])
+    for grads in ({p: np.zeros(2)}, {}):
+        opt.step(grads)
+        assert np.array_equal(p.data, [1.0, -2.0])
 
 
 def test_adam_first_step_is_minus_lr():
     p = nn.Tensor(np.array([0.0]), requires_grad=True)
     opt = nn.Adam([p], lr=1e-3)
-    p.grad = np.array([1.0])
-    opt.step()
+    opt.step({p: np.array([1.0])})
     assert p.data[0] == pytest.approx(-1e-3, rel=1e-6)
 
 
 def test_adam_aborts_on_non_finite_gradient():
     p = nn.Tensor(np.array([1.0]), requires_grad=True)
     opt = nn.Adam([p], lr=1e-3)
-    p.grad = np.array([np.inf])
     with pytest.raises(ValueError, match="non-finite gradient"):
-        opt.step()
+        opt.step({p: np.array([np.inf])})
     assert p.data[0] == 1.0  # state untouched
 
 
@@ -478,9 +473,7 @@ def test_adam_converges_on_quadratic():
     p = nn.Tensor(np.array([5.0]), requires_grad=True)
     opt = nn.Adam([p], lr=0.1)
     for _ in range(500):
-        opt.zero_grad()
-        p.grad = 2.0 * p.data  # d/dp of p^2
-        opt.step()
+        opt.step({p: 2.0 * p.data})  # d/dp of p^2
     assert abs(p.data[0]) < 1e-3
 
 
@@ -511,28 +504,28 @@ def test_parameter_reuse_accumulates_gradient():
     y1 = nn.linear(x, w, np.zeros(1))
     y2 = nn.linear(x, w, np.zeros(1))
     loss = nn.tensor_sum(y1 + y2)
-    loss.backward()
-    assert w.grad[0, 0] == pytest.approx(6.0)
+    assert loss.backward()[w][0, 0] == pytest.approx(6.0)
 
 
 def test_add_gives_each_parent_its_own_gradient():
     a = nn.Tensor(np.ones((2, 3)), requires_grad=True)
     b = nn.Tensor(np.ones((2, 3)), requires_grad=True)
-    nn.tensor_sum(a + b).backward()
-    assert not np.shares_memory(a.grad, b.grad)
-    assert np.array_equal(a.grad, np.ones((2, 3)))
-    assert np.array_equal(b.grad, np.ones((2, 3)))
+    grads = nn.tensor_sum(a + b).backward()
+    assert not np.shares_memory(grads[a], grads[b])
+    assert np.array_equal(grads[a], np.ones((2, 3)))
+    assert np.array_equal(grads[b], np.ones((2, 3)))
     x = nn.Tensor(np.array([[1.5, -2.0]]), requires_grad=True)
-    nn.tensor_sum(x + x).backward()
-    assert np.array_equal(x.grad, [[2.0, 2.0]])
+    assert np.array_equal(nn.tensor_sum(x + x).backward()[x], [[2.0, 2.0]])
 
 
-def test_second_backward_accumulates_only_leaf_gradients():
+def test_each_backward_returns_its_own_leaf_gradients():
     x = nn.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     loss = nn.tensor_sum(x + nn.Tensor(np.zeros((1, 2))))
-    loss.backward()
-    loss.backward()
-    assert np.array_equal(x.grad, [[2.0, 2.0]])
+    first, second = loss.backward(), loss.backward()
+    assert list(first) == list(second) == [x]
+    assert np.array_equal(first[x], [[1.0, 1.0]])
+    assert np.array_equal(second[x], [[1.0, 1.0]])
+    assert not np.shares_memory(first[x], second[x])
 
 
 def test_constants_get_no_gradient():
@@ -545,9 +538,8 @@ def test_constants_get_no_gradient():
     assert not constant.requires_grad and y.requires_grad
     dx, dw, db = y._backward_fn(np.ones((5, 2)))
     assert dx is None and dw.shape == (4, 2) and db.shape == (2,)
-    nn.tensor_sum(y).backward()
-    assert x.grad is None and constant.grad is None
-    assert w.grad is not None and b.grad is not None
+    assert nn.tensor_sum(y).backward().keys() == {w, b}
+    assert nn.tensor_sum(constant).backward() == {}
 
 
 def test_backward_requires_scalar():
