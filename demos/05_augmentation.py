@@ -41,16 +41,13 @@ print(f"\nenhanced mixing: {cloud_a.shape[0]} + {cloud_b.shape[0]} = "
 print("\nfull pipeline over 1000 draws at probability 0.5 each:")
 rng = np.random.default_rng(99)
 cfg = AugmentConfig(apply_prob=0.5)
+# scan B's points get a label of their own, so each output shows whether B
+# was mixed in and how many of scan A's points remain
+tag = labels_a.max() + 1
+partner = (cloud_b, np.full_like(labels_b, tag))
 mixes = drops = 0
-empty = (np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
-
-def pool():
-    global mixes
-    mixes += 1
-    return empty
-
 for _ in range(1000):
-    out, _ = augment_pipeline((cloud_a, labels_a), sim64, cfg, rng, pool)
-    if out.shape[0] < cloud_a.shape[0]:
-        drops += 1
+    _, out_labels = augment_pipeline((cloud_a, labels_a), sim64, cfg, rng, partner)
+    mixes += bool(np.any(out_labels == tag))
+    drops += int(np.sum(out_labels != tag)) < cloud_a.shape[0]
 print(f"  mixing fired {mixes} times, beam dropping fired {drops} times")

@@ -109,17 +109,16 @@ def augment_pipeline(
     config: SensorConfig,
     cfg: AugmentConfig,
     rng: np.random.Generator,
-    pool,
+    partner: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply scene mixing and beam sampling, each independently with
-    probability cfg.apply_prob.
+    """Apply scene mixing with partner (cloud, labels) and beam sampling,
+    each independently with probability cfg.apply_prob.
 
-    pool is a zero-argument callable supplying a partner (cloud, labels)
-    for mixing.  Deterministic for a fixed rng state.
+    Deterministic for a fixed rng state.
     """
     cloud, labels = sample
     if rng.uniform() < cfg.apply_prob:
-        cloud, labels = enhanced_mix3d((cloud, labels), pool(), cfg, rng)
+        cloud, labels = enhanced_mix3d((cloud, labels), partner, cfg, rng)
     if rng.uniform() < cfg.apply_prob:
         keep = random_keep_set(config, cfg, rng)
         cloud, labels = beam_sample(cloud, labels, config, keep)

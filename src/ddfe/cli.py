@@ -121,7 +121,7 @@ def _cmd_augment(args) -> None:
     sample = _load_pair(args.input)
     partner = _load_pair(args.mix)
     rng = np.random.default_rng(args.seed)
-    cloud, labels = augment_pipeline(sample, config, cfg, rng, pool=lambda: partner)
+    cloud, labels = augment_pipeline(sample, config, cfg, rng, partner)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(
         args.out, os.path.splitext(os.path.basename(args.input))[0] + "_aug")

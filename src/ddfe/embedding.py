@@ -55,7 +55,7 @@ class EmbeddingConfig:
 
 
 class EmbeddingParams:
-    """All trainable tensors, keyed by dotted layer names in fixed order."""
+    """Parameter tensors keyed by dotted layer names in fixed order; built trainable."""
 
     def __init__(self, config: EmbeddingConfig, rng: np.random.Generator):
         self.config = config
@@ -247,7 +247,7 @@ def inverse_frequency_weights(labels: np.ndarray, num_classes: int) -> np.ndarra
 
 @dataclass
 class Model:
-    """Trained bundle: architecture config, parameters, frozen clip."""
+    """Trained bundle: architecture config, constant parameters, frozen clip."""
 
     config: EmbeddingConfig
     params: EmbeddingParams
@@ -321,7 +321,7 @@ def train(
         if progress is not None:
             progress(epoch, scene_loss_sum / len(scenes))
 
-    return Model(config, params, clip)
+    return model_from_tensors(checkpoint_tensors(Model(config, params, clip)))
 
 
 # --- evaluation -----------------------------------------------------------
@@ -405,27 +405,45 @@ def checkpoint_tensors(model: Model) -> dict[str, np.ndarray]:
 
 
 def model_from_tensors(tensors: dict[str, np.ndarray]) -> Model:
-    def get(name: str) -> np.ndarray:
+    """The model a checkpoint holds, as constants: inference on it builds no tape.
+
+    Every tensor must be present, of its expected shape and finite; each
+    `meta.<field>` is 0-d and exactly a value of its field's type; the clip
+    tensors come as a pair with half_span > 0, or not at all.
+    """
+    def get(name: str, shape: tuple[int, ...]) -> np.ndarray:
         if name not in tensors:
             raise ValueError(f"checkpoint is missing tensor {name!r}")
-        return tensors[name]
+        stored = tensors[name]
+        if stored.shape != shape:
+            raise ValueError(
+                f"checkpoint tensor {name!r} has shape {stored.shape}, expected {shape}")
+        bad = np.flatnonzero(~np.isfinite(stored))
+        if bad.size:
+            raise ValueError(f"checkpoint tensor {name!r} is not finite at flat index {bad[0]}")
+        return stored
 
-    config = EmbeddingConfig(**{
-        field: kind(get(f"meta.{field}"))
-        for field, kind in typing.get_type_hints(EmbeddingConfig).items()
-    })
+    fields = {}
+    for field, kind in typing.get_type_hints(EmbeddingConfig).items():
+        value = get(f"meta.{field}", ())
+        if kind(value) != value:
+            raise ValueError(
+                f"checkpoint tensor 'meta.{field}' holds {float(value)!r}, "
+                f"not a value of type {kind.__name__}")
+        fields[field] = kind(value)
+    config = EmbeddingConfig(**fields)
     params = EmbeddingParams(config, np.random.default_rng(0))
     for name, tensor in params.tensors.items():
-        stored = get(name)
-        if stored.shape != tensor.data.shape:
-            raise ValueError(
-                f"checkpoint tensor {name!r} has shape {stored.shape}, "
-                f"expected {tensor.data.shape}"
-            )
-        tensor.data = stored.copy()
+        params.tensors[name] = nn.Tensor(get(name, tensor.shape).copy())
     clip = None
-    if "clip.mid" in tensors:
-        clip = ClipParams.from_mid_span(tensors["clip.mid"], get("clip.half_span"))
+    if "clip.mid" in tensors or "clip.half_span" in tensors:
+        channels = (len(DEFAULT_SIGMAS),)
+        half_span = get("clip.half_span", channels)
+        bad = np.flatnonzero(half_span <= 0)
+        if bad.size:
+            raise ValueError(
+                f"checkpoint tensor 'clip.half_span' is not > 0 at flat index {bad[0]}")
+        clip = ClipParams.from_mid_span(get("clip.mid", channels), half_span)
     return Model(config, params, clip)
 
 

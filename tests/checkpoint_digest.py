@@ -7,11 +7,12 @@ no density), each `train(make_dataset(4, SIM64, seed=123), SIM64,
 TrainConfig(epochs=2, seed=0))`, with BLAS on one thread.  Each run adds its
 checkpoint and, on the training scans and on the same worlds scanned by
 SIM32, the `evaluate` confusion matrix and the `binned_voxel_features` means
-and counts.  Then come `density_for_cloud` on one simulated scan per sensor
-preset, and `enhanced_mix3d` -> `random_keep_set` -> `beam_sample` on the
-first two training scans under `default_rng(0)`.  A change that claims to
-keep training, evaluation, the feature report, density or augmentation
-bit-identical must print the same digest as its base commit:
+and counts.  Then come the full model's `point_predictions` on one simulated
+waymo scan, `density_for_cloud` on one simulated scan per sensor preset, and
+`enhanced_mix3d` -> `random_keep_set` -> `beam_sample` on the first two
+training scans under `default_rng(0)`.  A change that claims to keep
+training, evaluation, prediction, the feature report, density or
+augmentation bit-identical must print the same digest as its base commit:
 
     PYTHONPATH=src python tests/checkpoint_digest.py
 
@@ -42,7 +43,9 @@ from ddfe.embedding import (  # noqa: E402
     TrainConfig,
     binned_voxel_features,
     checkpoint_tensors,
+    encode_scene,
     evaluate,
+    point_predictions,
     train,
 )
 from ddfe.io import save_checkpoint  # noqa: E402
@@ -73,7 +76,13 @@ def checkpoint_digest() -> str:
                 digest.update(evaluate(data, model, sensor).confusion.tobytes())
                 for array in binned_voxel_features(data, model, sensor):
                     digest.update(array.tobytes())
+            if not flags:
+                full = model
     proj = ProjectionParams()
+    waymo = PRESETS["waymo"]
+    cloud, _ = make_dataset(1, waymo, seed=7)[0]
+    scene = encode_scene(cloud, beam_profile(waymo, proj), proj, full.config.voxel_size)
+    digest.update(point_predictions(scene, full).tobytes())
     for sensor in PRESETS.values():
         cloud, _ = make_dataset(1, sensor, seed=7)[0]
         digest.update(density_for_cloud(beam_profile(sensor, proj), cloud, proj).tobytes())

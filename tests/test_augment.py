@@ -135,8 +135,7 @@ def test_pipeline_prob_zero_is_identity():
     cloud, labels = _wall_scan()
     cfg = AugmentConfig(apply_prob=0.0)
     rng = np.random.default_rng(5)
-    out_cloud, out_labels = augment_pipeline(
-        (cloud, labels), SIM64, cfg, rng, pool=lambda: (cloud, labels))
+    out_cloud, out_labels = augment_pipeline((cloud, labels), SIM64, cfg, rng, (cloud, labels))
     assert np.array_equal(out_cloud, cloud)
     assert np.array_equal(out_labels, labels)
 
@@ -147,8 +146,7 @@ def test_pipeline_deterministic_given_seed():
     outs = []
     for _ in range(2):
         rng = np.random.default_rng(99)
-        outs.append(augment_pipeline(
-            (cloud, labels), SIM64, cfg, rng, pool=lambda: (cloud, labels)))
+        outs.append(augment_pipeline((cloud, labels), SIM64, cfg, rng, (cloud, labels)))
     assert np.array_equal(outs[0][0], outs[1][0])
     assert np.array_equal(outs[0][1], outs[1][1])
 
@@ -157,19 +155,16 @@ def test_pipeline_fires_each_augmentation_half_the_time():
     cloud, labels = _wall_scan()
     cfg = AugmentConfig(apply_prob=0.5)
     rng = np.random.default_rng(123)
+    # the partner's points carry a label of their own, so the output shows
+    # whether it was mixed in and how many of the scan's own points remain
+    tag = labels.max() + 1
+    partner = (cloud, np.full_like(labels, tag))
     mixes = 0
     drops = 0
-    empty = (np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
-
-    def pool():
-        nonlocal mixes
-        mixes += 1
-        return empty
-
     for _ in range(1000):
-        out_cloud, _ = augment_pipeline((cloud, labels), SIM64, cfg, rng, pool)
-        if out_cloud.shape[0] < cloud.shape[0]:
-            drops += 1
+        _, out_labels = augment_pipeline((cloud, labels), SIM64, cfg, rng, partner)
+        mixes += bool(np.any(out_labels == tag))
+        drops += int(np.sum(out_labels != tag)) < cloud.shape[0]
     assert abs(mixes - 500) <= 50   # binomial 3-sigma band
     assert abs(drops - 500) <= 50
 

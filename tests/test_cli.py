@@ -7,6 +7,7 @@ import pytest
 
 from ddfe import io as dio
 from ddfe.cli import run
+from ddfe.embedding import EmbeddingConfig, EmbeddingParams, Model, checkpoint_tensors
 
 
 def _sensor_text(name, v_beams):
@@ -285,6 +286,22 @@ def test_empty_scan_exits_2_naming_it(tmp_path, sim_cfg, command):
                           capture_output=True, text=True, env=env, check=False)
     assert proc.returncode == 2
     assert "scan 1 of the dataset is empty" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_checkpoint_with_vector_meta_exits_2(tmp_path):
+    config = EmbeddingConfig()
+    tensors = checkpoint_tensors(
+        Model(config, EmbeddingParams(config, np.random.default_rng(0)), None))
+    tensors["meta.num_classes"] = np.array([4.0, 4.0])
+    model = tmp_path / "m.ckpt"
+    dio.save_checkpoint(tensors, model)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "ddfe", "evaluate", "--sensor", "nuscenes",
+                           "--data", str(tmp_path), "--model", str(model)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 2
+    assert "checkpoint tensor 'meta.num_classes' has shape (2,), expected ()" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -19,6 +19,7 @@ from ddfe.embedding import (
     inverse_frequency_weights,
     iou_scores,
     model_from_tensors,
+    point_predictions,
     scene_loss,
     train,
 )
@@ -340,6 +341,48 @@ def test_model_from_tensors_validates(tmp_path):
     wrong["fuse.w"] = np.zeros((2, 2))
     with pytest.raises(ValueError, match="shape"):
         model_from_tensors(wrong)
+    nan_at_5 = tensors["fuse.w"].copy()
+    nan_at_5.flat[5] = np.nan
+    for name, value, message in (
+        ("meta.num_classes", np.array([4.0, 4.0]),
+         r"tensor 'meta.num_classes' has shape \(2,\), expected \(\)"),
+        ("meta.use_attention", np.float64(0.5),
+         "tensor 'meta.use_attention' holds 0.5, not a value of type bool"),
+        ("meta.num_classes", np.float64(4.7),
+         "tensor 'meta.num_classes' holds 4.7, not a value of type int"),
+        ("meta.num_classes", np.float64(np.inf),
+         "tensor 'meta.num_classes' is not finite at flat index 0"),
+        ("clip.mid", np.array([0.1, 0.1, np.nan, 0.1]),
+         "tensor 'clip.mid' is not finite at flat index 2"),
+        ("fuse.w", nan_at_5, "tensor 'fuse.w' is not finite at flat index 5"),
+        ("clip.half_span", np.array([0.01, 0.0, 0.01, 0.01]),
+         "tensor 'clip.half_span' is not > 0 at flat index 1"),
+        ("clip.mid", np.full(3, 0.1),
+         r"tensor 'clip.mid' has shape \(3,\), expected \(4,\)"),
+        ("clip.mid", None, "checkpoint is missing tensor 'clip.mid'"),
+    ):
+        wrong = dict(tensors)
+        if value is None:
+            del wrong[name]
+        else:
+            wrong[name] = value
+        with pytest.raises(ValueError, match=message):
+            model_from_tensors(wrong)
+
+
+def test_inference_builds_no_tape(small_scene):
+    trainable = _params()
+    assert all(p.requires_grad for p in trainable.parameters())
+    trained = train(make_dataset(2, SIM, seed=33), SIM, TrainConfig(epochs=1, seed=0))
+    for model in (trained, model_from_tensors(checkpoint_tensors(trained))):
+        assert not any(p.requires_grad for p in model.params.parameters())
+        for out in forward_encoded(small_scene, model.params, model.clip):
+            assert out._parents == () and out._backward_fn is None
+        # the same arrays as trainable tensors: the forward pass builds a tape
+        for name, tensor in model.params.tensors.items():
+            trainable.tensors[name] = nn.Tensor(tensor.data, requires_grad=True)
+        reference = point_predictions(small_scene, Model(model.config, trainable, model.clip))
+        assert point_predictions(small_scene, model).tobytes() == reference.tobytes()
 
 
 def test_train_config_file_round_trip(tmp_path):
