@@ -11,7 +11,9 @@ trained and scored end to end at desk scale.
 
 from __future__ import annotations
 
+import os
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -265,6 +267,16 @@ def scene_loss(scene: EncodedScene, model_params: EmbeddingParams,
     return loss
 
 
+def _blas_threads() -> int | None:
+    """BLAS threads as OpenBLAS reads them at load time: the first of these
+    variables that holds a positive count, or None for its default."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return None
+
+
 def train(
     dataset: list[tuple[np.ndarray, np.ndarray]],
     sensor_config: SensorConfig,
@@ -280,6 +292,9 @@ def train(
     Clip parameters are fit once from the training densities and frozen
     before any gradient step, mirroring deployment (training-domain clip).
     After each epoch, progress(epoch, loss) gets the epoch's mean scene loss.
+    Where BLAS runs on one thread, a batch's scenes run their forward and
+    backward passes on parallel threads; their gradients are summed in batch
+    order, so the result is the same bits as one after another.
     """
     hyper = hyper or TrainConfig()
     config = EmbeddingConfig(
@@ -302,24 +317,39 @@ def train(
     params = EmbeddingParams(config, rng)
     optimizer = nn.Adam(params.parameters(), lr=hyper.base_lr)
 
-    for epoch in range(hyper.epochs):
-        optimizer.lr = nn.lr_schedule(epoch, hyper.base_lr, hyper.lr_decay)
-        order = rng.permutation(len(scenes))
-        scene_loss_sum = 0.0
-        for step, start in enumerate(range(0, len(scenes), hyper.batch_size)):
-            batch = order[start : start + hyper.batch_size]
-            total = None
-            for idx in batch:
-                loss = scene_loss(scenes[idx], params, clip, class_weights) * (1.0 / batch.size)
-                total = loss if total is None else total + loss
-            if not np.isfinite(total.data):
-                raise ValueError(
-                    f"non-finite loss at epoch {epoch}, step {step}; training aborted"
-                )
-            optimizer.step(total.backward())
-            scene_loss_sum += float(total.data) * batch.size
-        if progress is not None:
-            progress(epoch, scene_loss_sum / len(scenes))
+    def scene_step(idx, scale):
+        loss = scene_loss(scenes[idx], params, clip, class_weights) * scale
+        return loss, loss.backward() if np.isfinite(loss.data) else None
+
+    # Multi-threaded BLAS calls from two threads at once run slower than one after another.
+    workers = min(hyper.batch_size, len(os.sched_getaffinity(0))) if _blas_threads() == 1 else 1
+    with ThreadPoolExecutor(workers) as pool:
+        for epoch in range(hyper.epochs):
+            optimizer.lr = nn.lr_schedule(epoch, hyper.base_lr, hyper.lr_decay)
+            order = rng.permutation(len(scenes))
+            scene_loss_sum = 0.0
+            for step, start in enumerate(range(0, len(scenes), hyper.batch_size)):
+                batch = order[start : start + hyper.batch_size]
+                scale = 1.0 / batch.size
+                losses, scene_grads = zip(*pool.map(scene_step, batch, [scale] * batch.size))
+                # Summed in batch order, as one tape over the whole batch sums them.
+                total = sum((loss.data for loss in losses[1:]), losses[0].data)
+                if not np.isfinite(total):
+                    raise ValueError(
+                        f"non-finite loss at epoch {epoch}, step {step}; training aborted"
+                    )
+                grads = scene_grads[0]
+                for more in scene_grads[1:]:
+                    for leaf, g in more.items():
+                        grads[leaf] += g
+                optimizer.step(grads)
+                scene_loss_sum += float(total) * batch.size
+                # The batch's tapes are freed together, before the next batch.  Freed one
+                # scene at a time, glibc hands their pages back to the system and faults
+                # them in again, which made one-worker training about 10 % slower.
+                del losses
+            if progress is not None:
+                progress(epoch, scene_loss_sum / len(scenes))
 
     return model_from_tensors(checkpoint_tensors(Model(config, params, clip)))
 
@@ -409,12 +439,16 @@ def model_from_tensors(tensors: dict[str, np.ndarray]) -> Model:
 
     Every tensor must be present, of its expected shape and finite; each
     `meta.<field>` is 0-d and exactly a value of its field's type; the clip
-    tensors come as a pair with half_span > 0, or not at all.
+    tensors come as a pair with half_span > 0, or not at all; `meta.num_classes`
+    is >= 1 and the length of `point_classifier.b`.
     """
-    def get(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    def present(name: str) -> np.ndarray:
         if name not in tensors:
             raise ValueError(f"checkpoint is missing tensor {name!r}")
-        stored = tensors[name]
+        return tensors[name]
+
+    def get(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        stored = present(name)
         if stored.shape != shape:
             raise ValueError(
                 f"checkpoint tensor {name!r} has shape {stored.shape}, expected {shape}")
@@ -432,6 +466,14 @@ def model_from_tensors(tensors: dict[str, np.ndarray]) -> Model:
                 f"not a value of type {kind.__name__}")
         fields[field] = kind(value)
     config = EmbeddingConfig(**fields)
+    # EmbeddingParams allocates from num_classes, so it is checked first.
+    if config.num_classes < 1:
+        raise ValueError(
+            f"checkpoint tensor 'meta.num_classes' holds {config.num_classes}, not a count >= 1")
+    classes = present("point_classifier.b").shape
+    if classes != (config.num_classes,):
+        raise ValueError(f"checkpoint tensor 'meta.num_classes' holds {config.num_classes}, "
+                         f"but 'point_classifier.b' has shape {classes}")
     params = EmbeddingParams(config, np.random.default_rng(0))
     for name, tensor in params.tensors.items():
         params.tensors[name] = nn.Tensor(get(name, tensor.shape).copy())

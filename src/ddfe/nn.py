@@ -15,21 +15,39 @@ import numpy as np
 from .io import check_labels
 
 
+class _Node:
+    """Tape entry of an inner tensor: its parents' entries (None for a
+    constant) and its backward closure, which keeps only the arrays it reads."""
+
+    __slots__ = ("parents", "backward_fn")
+
+    def __init__(self, parents, backward_fn):
+        self.parents = parents
+        self.backward_fn = backward_fn
+
+
 class Tensor:
-    """Array value with a backward closure.
+    """Array value with a tape entry.
 
     A tensor requires a gradient if it was created with one or if any parent
-    requires one.  One that requires none is a leaf of the tape: it keeps no
-    parents or closure, and backward() never hands it a gradient.
+    requires one.  Its entry is None for a constant, the tensor itself for a
+    leaf that requires a gradient, and a `_Node` for an inner tensor; only a
+    leaf gets a gradient from backward().
     """
 
-    __slots__ = ("data", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._parents = parents if self.requires_grad else ()
-        self._backward_fn = backward_fn if self.requires_grad else None
+        entries = tuple(p._node for p in parents)
+        if any(e is not None for e in entries):
+            self._node = _Node(entries, backward_fn)
+        else:
+            self._node = self if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
 
     @property
     def shape(self):
@@ -67,9 +85,9 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
-        topo: list[Tensor] = []
+        topo: list[_Node | Tensor] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack = [(self._node, False)] if self._node is not None else []
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -79,15 +97,16 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
-        grads = {self: np.ones_like(self.data)} if self.requires_grad else {}
+            if type(node) is _Node:
+                for parent in node.parents:
+                    if parent is not None and id(parent) not in visited:
+                        stack.append((parent, False))
+        grads = {self._node: np.ones_like(self.data)} if self._node is not None else {}
         for node in reversed(topo):
-            if node._backward_fn is None or node not in grads:
+            if type(node) is not _Node or node not in grads:
                 continue
-            for parent, g in zip(node._parents, node._backward_fn(grads.pop(node))):
-                if g is None or not parent.requires_grad:
+            for parent, g in zip(node.parents, node.backward_fn(grads.pop(node))):
+                if g is None or parent is None:
                     continue
                 if parent in grads:
                     grads[parent] += g
@@ -112,9 +131,11 @@ def linear(x, weights, bias) -> Tensor:
             f"shape mismatch in linear: bias {bias.data.shape} vs weights {weights.data.shape}"
         )
 
+    x_data, w_data, dx_needed = x.data, weights.data, x.requires_grad
+
     def backward(g):
-        dx = g @ weights.data.T if x.requires_grad else None
-        return dx, x.data.T @ g, g.sum(axis=0)
+        dx = g @ w_data.T if dx_needed else None
+        return dx, x_data.T @ g, g.sum(axis=0)
 
     y = x.data @ weights.data
     y += bias.data
@@ -170,8 +191,9 @@ def softmax(x) -> Tensor:
 def tensor_sum(x) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
     x = as_tensor(x)
+    shape = x.data.shape
     return Tensor(x.data.sum(), parents=(x,),
-                  backward_fn=lambda g: (np.full_like(x.data, float(g)),))
+                  backward_fn=lambda g: (np.full(shape, float(g)),))
 
 
 def multiply(a, b) -> Tensor:
@@ -181,8 +203,9 @@ def multiply(a, b) -> Tensor:
         raise ValueError(
             f"shape mismatch in multiply: {a.data.shape} vs {b.data.shape}"
         )
-    return Tensor(a.data * b.data, parents=(a, b),
-                  backward_fn=lambda g: (g * b.data, g * a.data))
+    a_data, b_data = a.data, b.data
+    return Tensor(a_data * b_data, parents=(a, b),
+                  backward_fn=lambda g: (g * b_data, g * a_data))
 
 
 def concat(parts, axis: int = 1) -> Tensor:
@@ -256,16 +279,17 @@ def segment_max(x, seg, num_segments: int | None = None) -> Tensor:
     original order) attaining the maximum in its segment and channel.
     """
     x = as_tensor(x)
+    x_data = x.data
     smap = _as_segment_map(seg, num_segments)
-    n, d = x.data.shape
+    n, d = x_data.shape
     m = smap.num_segments
     out = np.full((m, d), -np.inf)
-    np.maximum.at(out.reshape(-1), _segment_cells(smap, d), x.data.reshape(-1))
+    np.maximum.at(out.reshape(-1), _segment_cells(smap, d), x_data.reshape(-1))
 
     def backward(g):
         # First attaining point: the lowest flat entry equal to its cell's
         # maximum, searched among the attaining entries only.
-        hits = np.flatnonzero(x.data == out[smap.point_to_segment])
+        hits = np.flatnonzero(x_data == out[smap.point_to_segment])
         first = np.full(m * d, n * d)
         np.minimum.at(first, _segment_cells(smap, d)[hits], hits)
         unattained = np.flatnonzero(first == n * d)  # only a NaN maximum is never attained

@@ -63,6 +63,14 @@ def test_beam_outside_the_image_band_is_rejected(config, index, elevation):
         beam_profile(config, PP)
 
 
+def test_horizontal_beams_beyond_the_image_width_are_rejected():
+    assert rasterize_beams(SensorConfig("full", PP.width, 32, -25.0, 3.0), PP)[0].sum() == PP.width
+    with pytest.raises(ValueError, match=(
+            r"sensor 'wide' has 5121 horizontal beams, more than the projection "
+            r"image's 5120 columns")):
+        beam_profile(SensorConfig("wide", PP.width + 1, 32, -25.0, 3.0), PP)
+
+
 def test_beams_on_the_image_band_edges_are_kept():
     # lowest beam at exactly -30.0 and (pandaset) top beam at exactly 15.0
     edge = SensorConfig("edge", 64, 32, -31.25, 8.75)

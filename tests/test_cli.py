@@ -289,19 +289,32 @@ def test_empty_scan_exits_2_naming_it(tmp_path, sim_cfg, command):
     assert "Traceback" not in proc.stderr
 
 
-def test_checkpoint_with_vector_meta_exits_2(tmp_path):
+def _evaluate_with_meta(tmp_path, num_classes):
+    """`ddfe evaluate` on a checkpoint whose meta.num_classes is replaced."""
     config = EmbeddingConfig()
     tensors = checkpoint_tensors(
         Model(config, EmbeddingParams(config, np.random.default_rng(0)), None))
-    tensors["meta.num_classes"] = np.array([4.0, 4.0])
+    tensors["meta.num_classes"] = num_classes
     model = tmp_path / "m.ckpt"
     dio.save_checkpoint(tensors, model)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-m", "ddfe", "evaluate", "--sensor", "nuscenes",
+    return subprocess.run([sys.executable, "-m", "ddfe", "evaluate", "--sensor", "nuscenes",
                            "--data", str(tmp_path), "--model", str(model)],
                           capture_output=True, text=True, env=env, check=False)
+
+
+def test_checkpoint_with_vector_meta_exits_2(tmp_path):
+    proc = _evaluate_with_meta(tmp_path, np.array([4.0, 4.0]))
     assert proc.returncode == 2
     assert "checkpoint tensor 'meta.num_classes' has shape (2,), expected ()" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_checkpoint_with_huge_class_count_exits_2(tmp_path):
+    proc = _evaluate_with_meta(tmp_path, np.float64(1e12))
+    assert proc.returncode == 2
+    assert ("checkpoint tensor 'meta.num_classes' holds 1000000000000, "
+            "but 'point_classifier.b' has shape (4,)") in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

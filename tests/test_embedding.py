@@ -1,8 +1,12 @@
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from ddfe import embedding, nn
-from ddfe.beams import beam_profile
+from ddfe.beams import DEFAULT_SIGMAS, beam_profile
 from ddfe.embedding import (
     DENSITY_SCALE,
     EmbeddingConfig,
@@ -25,7 +29,7 @@ from ddfe.embedding import (
 )
 from ddfe.sensors import ProjectionParams, SensorConfig
 from ddfe.simulate import make_dataset
-from ddfe.stats import ClipParams, soft_clip
+from ddfe.stats import ClipParams, DensityReservoir, fit_clip, soft_clip
 from ddfe import io as dio
 
 SIM = SensorConfig("sim16", 128, 16, -20.0, 4.0)
@@ -275,6 +279,63 @@ def test_non_finite_loss_names_its_epoch_and_step(monkeypatch):
     assert len(calls) == 5
 
 
+_TRAIN_DATA = make_dataset(3, SIM, seed=21)
+
+
+@functools.cache
+def _one_tape_checkpoint(batch_size: int) -> dict[str, np.ndarray]:
+    """What `train` on _TRAIN_DATA must return: each batch's scene losses summed
+    on one tape, one backward pass per batch, scenes one after another."""
+    hyper = TrainConfig(epochs=2, batch_size=batch_size, seed=0)
+    config = EmbeddingConfig(num_classes=hyper.num_classes, voxel_size=hyper.voxel_size)
+    scenes = list(embedding._encoded_dataset(_TRAIN_DATA, SIM, config))
+    reservoir = DensityReservoir(num_channels=len(DEFAULT_SIGMAS), seed=hyper.seed)
+    for scene in scenes:
+        reservoir.update(scene.density_raw)
+    clip = fit_clip(reservoir)
+    class_weights = inverse_frequency_weights(
+        np.concatenate([s.labels for s in scenes]), hyper.num_classes)
+    rng = np.random.default_rng(hyper.seed)
+    params = EmbeddingParams(config, rng)
+    optimizer = nn.Adam(params.parameters(), lr=hyper.base_lr)
+    for epoch in range(hyper.epochs):
+        optimizer.lr = nn.lr_schedule(epoch, hyper.base_lr, hyper.lr_decay)
+        order = rng.permutation(len(scenes))
+        for start in range(0, len(scenes), hyper.batch_size):
+            batch = order[start : start + hyper.batch_size]
+            total = None
+            for idx in batch:
+                loss = scene_loss(scenes[idx], params, clip, class_weights) * (1.0 / batch.size)
+                total = loss if total is None else total + loss
+            optimizer.step(total.backward())
+    return checkpoint_tensors(Model(config, params, clip))
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 3])
+@pytest.mark.parametrize("blas_threads", [None, "1"])
+def test_train_is_one_tape_per_batch_on_any_worker_count(monkeypatch, batch_size, blas_threads):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    if blas_threads is not None:
+        monkeypatch.setenv("OMP_NUM_THREADS", blas_threads)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    workers = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(embedding, "ThreadPoolExecutor", RecordingPool)
+    model = train(_TRAIN_DATA, SIM, TrainConfig(epochs=2, batch_size=batch_size, seed=0))
+    # scenes in parallel only where BLAS runs on one thread, one per core up to the batch
+    assert workers == [min(batch_size, 2) if blas_threads else 1]
+    got, want = checkpoint_tensors(model), _one_tape_checkpoint(batch_size)
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
 _UNTRAINED = Model(EmbeddingConfig(), _params(), None)
 
 # every entry that encodes a labelled dataset, called on a dataset
@@ -352,6 +413,11 @@ def test_model_from_tensors_validates(tmp_path):
          "tensor 'meta.num_classes' holds 4.7, not a value of type int"),
         ("meta.num_classes", np.float64(np.inf),
          "tensor 'meta.num_classes' is not finite at flat index 0"),
+        ("meta.num_classes", np.float64(-1),
+         "tensor 'meta.num_classes' holds -1, not a count >= 1"),
+        ("meta.num_classes", np.float64(1e12),
+         r"tensor 'meta.num_classes' holds 1000000000000, but 'point_classifier.b' "
+         r"has shape \(4,\)"),
         ("clip.mid", np.array([0.1, 0.1, np.nan, 0.1]),
          "tensor 'clip.mid' is not finite at flat index 2"),
         ("fuse.w", nan_at_5, "tensor 'fuse.w' is not finite at flat index 5"),
@@ -377,7 +443,7 @@ def test_inference_builds_no_tape(small_scene):
     for model in (trained, model_from_tensors(checkpoint_tensors(trained))):
         assert not any(p.requires_grad for p in model.params.parameters())
         for out in forward_encoded(small_scene, model.params, model.clip):
-            assert out._parents == () and out._backward_fn is None
+            assert out._node is None  # no tape entry
         # the same arrays as trainable tensors: the forward pass builds a tape
         for name, tensor in model.params.tensors.items():
             trainable.tensors[name] = nn.Tensor(tensor.data, requires_grad=True)

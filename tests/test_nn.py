@@ -1,5 +1,6 @@
 import functools
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -536,10 +537,24 @@ def test_constants_get_no_gradient():
     b = nn.Tensor(rng.normal(size=2), requires_grad=True)
     y = nn.linear(constant, w, b)
     assert not constant.requires_grad and y.requires_grad
-    dx, dw, db = y._backward_fn(np.ones((5, 2)))
+    dx, dw, db = y._node.backward_fn(np.ones((5, 2)))
     assert dx is None and dw.shape == (4, 2) and db.shape == (2,)
     assert nn.tensor_sum(y).backward().keys() == {w, b}
     assert nn.tensor_sum(constant).backward() == {}
+
+
+def test_tape_keeps_only_what_backward_reads():
+    rng = np.random.default_rng(11)
+    x = nn.Tensor(rng.normal(size=(6, 3)))
+    w = nn.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = nn.Tensor(rng.normal(size=4), requires_grad=True)
+    hidden = nn.linear(x, w, b)
+    freed = weakref.ref(hidden.data)
+    y = nn.relu(hidden)
+    del hidden
+    assert freed() is None  # relu's backward reads only its output
+    mask = (x.data @ w.data + b.data > 0).astype(np.float64)
+    assert np.array_equal(nn.tensor_sum(y).backward()[w], x.data.T @ mask)
 
 
 def test_backward_requires_scalar():
