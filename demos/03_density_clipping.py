@@ -18,10 +18,11 @@ params = ProjectionParams()
 profile = beam_profile(sim64, params)
 
 print("streaming 10 synthetic scans through 4 reservoirs (capacity 1000)...")
-reservoir = DensityReservoir(num_channels=4, seed=0)
+reservoir = DensityReservoir(seed=0)
 for cloud, _ in make_dataset(10, sim64, seed=7):
     reservoir.update(density_for_cloud(profile, cloud, params))
-print(f"  seen {reservoir.seen[0]} values per channel, kept {reservoir.size(0)}")
+print(f"  seen {reservoir.seen} values per channel, "
+      f"kept {min(reservoir.seen, reservoir.capacity)}")
 
 clip = fit_clip(reservoir)
 print("\nfitted clip parameters per channel:")

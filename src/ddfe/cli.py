@@ -99,7 +99,7 @@ def _cmd_stats(args) -> None:
     paths = _scan_paths(args.inputs)
     profile = beam_profile(config)
     proj = ProjectionParams()
-    reservoir = DensityReservoir(num_channels=len(DEFAULT_SIGMAS), seed=args.seed)
+    reservoir = DensityReservoir(seed=args.seed)
     for i, path in enumerate(paths):
         cloud = ddfe_io.read_scan(path)
         if len(cloud) == 0:

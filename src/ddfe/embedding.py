@@ -23,7 +23,7 @@ from .beams import DEFAULT_SIGMAS, BeamProfile, beam_profile, density_for_cloud
 from .io import check_labels, parse_key_values, read_ascii
 from .sensors import ProjectionParams, SensorConfig, spherical_of_cloud
 from .stats import ClipParams, DensityReservoir, fit_clip, soft_clip
-from .voxels import VoxelGrid, majority_label, voxel_offsets, voxelize
+from .voxels import VoxelGrid, check_voxel_size, majority_label, voxel_offsets, voxelize
 
 
 # Fixed input conditioning: ranges are fed in units of 25 m, intra-voxel
@@ -305,7 +305,7 @@ def train(
 
     clip = None
     if use_clip:
-        reservoir = DensityReservoir(num_channels=len(DEFAULT_SIGMAS), seed=hyper.seed)
+        reservoir = DensityReservoir(seed=hyper.seed)
         for scene in scenes:
             reservoir.update(scene.density_raw)
         clip = fit_clip(reservoir)
@@ -439,8 +439,9 @@ def model_from_tensors(tensors: dict[str, np.ndarray]) -> Model:
 
     Every tensor must be present, of its expected shape and finite; each
     `meta.<field>` is 0-d and exactly a value of its field's type; the clip
-    tensors come as a pair with half_span > 0, or not at all; `meta.num_classes`
-    is >= 1 and the length of `point_classifier.b`.
+    tensors come as a pair that `ClipParams` accepts, or not at all;
+    `meta.voxel_size` passes `check_voxel_size`; `meta.num_classes` is >= 1
+    and the length of `point_classifier.b`.
     """
     def present(name: str) -> np.ndarray:
         if name not in tensors:
@@ -466,6 +467,7 @@ def model_from_tensors(tensors: dict[str, np.ndarray]) -> Model:
                 f"not a value of type {kind.__name__}")
         fields[field] = kind(value)
     config = EmbeddingConfig(**fields)
+    check_voxel_size(config.voxel_size, "checkpoint tensor 'meta.voxel_size'")
     # EmbeddingParams allocates from num_classes, so it is checked first.
     if config.num_classes < 1:
         raise ValueError(
@@ -480,12 +482,8 @@ def model_from_tensors(tensors: dict[str, np.ndarray]) -> Model:
     clip = None
     if "clip.mid" in tensors or "clip.half_span" in tensors:
         channels = (len(DEFAULT_SIGMAS),)
-        half_span = get("clip.half_span", channels)
-        bad = np.flatnonzero(half_span <= 0)
-        if bad.size:
-            raise ValueError(
-                f"checkpoint tensor 'clip.half_span' is not > 0 at flat index {bad[0]}")
-        clip = ClipParams.from_mid_span(get("clip.mid", channels), half_span)
+        clip = ClipParams.from_mid_span(get("clip.mid", channels),
+                                        get("clip.half_span", channels))
     return Model(config, params, clip)
 
 
@@ -496,23 +494,21 @@ def binned_voxel_features(
     dataset: list[tuple[np.ndarray, np.ndarray]],
     model: Model,
     sensor_config: SensorConfig,
-    bin_edges: np.ndarray | tuple[float, ...] = RANGE_BIN_EDGES,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean fused voxel feature per voxel-center range bin.
+    """Mean fused voxel feature per voxel-center range bin of RANGE_BIN_EDGES.
 
-    Returns (means (B, 32), counts (B,)); bins default to RANGE_BIN_EDGES.
+    Returns (means (B, 32), counts (B,)).
     Empty bins yield NaN rows.  The dataset passes the same rules as in
     `train` and `evaluate`: labels are checked and voxel labels computed,
     though neither changes the features.
     """
-    edges = np.asarray(bin_edges)
-    n_bins = edges.size - 1
+    n_bins = len(RANGE_BIN_EDGES) - 1
     sums = np.zeros((n_bins, FUSED_CHANNELS))
     counts = np.zeros(n_bins, dtype=np.int64)
     for scene in _encoded_dataset(dataset, sensor_config, model.config):
         _, fused = forward_encoded(scene, model.params, model.clip)
         ranges = np.linalg.norm(scene.grid.centers, axis=1)
-        which = np.digitize(ranges, edges) - 1
+        which = np.digitize(ranges, RANGE_BIN_EDGES) - 1
         ok = (which >= 0) & (which < n_bins)
         for b in range(n_bins):
             rows = fused.data[ok & (which == b)]

@@ -74,15 +74,25 @@ def read_scan(path) -> np.ndarray:
     return check_cloud(_read_records(path, SCAN_RECORD_BYTES, "<f4").reshape(-1, 4)[:, :3])
 
 
+def _narrow_float32(values: np.ndarray, what: str, where: str) -> np.ndarray:
+    """(N, k) values as little-endian float32.
+
+    A value past float32's range would narrow to inf, which the file's
+    reader rejects, so it raises here, naming its row.
+    """
+    with np.errstate(over="ignore"):
+        narrowed = values.astype("<f4")
+    overflow = np.flatnonzero(np.isinf(narrowed))
+    if overflow.size:
+        raise ValueError(f"{what} beyond float32 range at {where} {overflow[0] // values.shape[1]}")
+    return narrowed
+
+
 def write_scan(cloud: np.ndarray, path) -> None:
     """Write an (N, 3) cloud as float32 (x, y, z, 0) records."""
     cloud = check_cloud(cloud)
     records = np.zeros((cloud.shape[0], 4), dtype="<f4")
-    with np.errstate(over="ignore"):  # checked below: as inf, read_scan would reject it
-        records[:, :3] = cloud
-    overflow = np.flatnonzero(np.isinf(records[:, :3]))
-    if overflow.size:
-        raise ValueError(f"coordinate beyond float32 range at point index {overflow[0] // 3}")
+    records[:, :3] = _narrow_float32(cloud, "coordinate", "point index")
     with open(path, "wb") as fh:
         fh.write(records.tobytes())
 
@@ -100,9 +110,9 @@ def write_labels(labels: np.ndarray, path) -> None:
 
 def write_density(values: np.ndarray, path) -> None:
     """Write an (N, C) density embedding as row-major float32."""
-    values = np.asarray(values, dtype=np.float64)
+    records = _narrow_float32(np.asarray(values, dtype=np.float64), "density", "row")
     with open(path, "wb") as fh:
-        fh.write(values.astype("<f4").tobytes())
+        fh.write(records.tobytes())
 
 
 def read_density(path) -> np.ndarray:

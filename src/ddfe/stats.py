@@ -2,8 +2,9 @@
 
 Channel-wise percentiles of the training-domain density distribution are
 estimated on the fly with reservoir sampling (Vitter's Algorithm R, one
-reservoir per density channel).  The resulting 10th/90th percentiles define
-a tanh soft clip that confines densities to the spectrum seen in training.
+reservoir row per density channel).  The resulting 10th/90th percentiles
+define a tanh soft clip that confines densities to the spectrum seen in
+training.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beams import DEFAULT_SIGMAS
+
 RESERVOIR_CAPACITY = 1000
 HALF_SPAN_FLOOR = 1e-8  # guards the division when P90 == P10
 
@@ -20,27 +23,25 @@ HALF_SPAN_FLOOR = 1e-8  # guards the division when P90 == P10
 class DensityReservoir:
     """Fixed-capacity uniform sample of each density channel's stream.
 
-    Every stream element ends up in its channel's reservoir with probability
-    capacity/n after n elements.  Deterministic for a fixed seed and update
-    sequence.
+    Channels see the same rows, so one `seen` count serves all; each draws
+    its slots from its own RNG.  Every element ends up in its channel's row
+    with probability capacity/n after n elements.  Deterministic for a fixed
+    seed and update sequence.
     """
 
-    def __init__(self, num_channels: int = 4, capacity: int = RESERVOIR_CAPACITY,
-                 seed: int = 0):
+    def __init__(self, num_channels: int = len(DEFAULT_SIGMAS),
+                 capacity: int = RESERVOIR_CAPACITY, seed: int = 0):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.samples = [np.empty(capacity, dtype=np.float64) for _ in range(num_channels)]
-        self.seen = [0] * num_channels
+        self.samples = np.empty((num_channels, capacity), dtype=np.float64)
+        self.seen = 0
         seqs = np.random.SeedSequence(seed).spawn(num_channels)
         self._rngs = [np.random.default_rng(s) for s in seqs]
 
     @property
     def num_channels(self) -> int:
-        return len(self.samples)
-
-    def size(self, channel: int) -> int:
-        return min(self.seen[channel], self.capacity)
+        return self.samples.shape[0]
 
     def update(self, embedding: np.ndarray) -> None:
         """Stream an (N, C) density embedding through the reservoirs."""
@@ -53,43 +54,37 @@ class DensityReservoir:
         if not finite.all():
             row = np.flatnonzero(~finite)[0] // self.num_channels
             raise ValueError(f"non-finite density at row {row}")
-        for c in range(self.num_channels):
-            self._update_channel(c, values[:, c])
-
-    def _update_channel(self, c: int, stream: np.ndarray) -> None:
-        n, cap = self.seen[c], self.capacity
-        fill = min(max(cap - n, 0), stream.size)
-        if fill:
-            self.samples[c][n : n + fill] = stream[:fill]
-            n += fill
-            stream = stream[fill:]
-        if stream.size:
+        n, cap = self.seen, self.capacity
+        fill = min(max(cap - n, 0), len(values))
+        self.samples[:, n : n + fill] = values[:fill].T
+        rest = values[fill:]
+        if len(rest):
             # Algorithm R: element at stream position t replaces a uniform
             # slot with probability cap/t.
-            positions = np.arange(n + 1, n + stream.size + 1)
-            slots = self._rngs[c].integers(0, positions)
-            for i in np.flatnonzero(slots < cap):
-                self.samples[c][slots[i]] = stream[i]
-            n += stream.size
-        self.seen[c] = n
+            positions = np.arange(n + fill + 1, n + len(values) + 1)
+            for c, rng in enumerate(self._rngs):
+                slots = rng.integers(0, positions)
+                for i in np.flatnonzero(slots < cap):
+                    self.samples[c, slots[i]] = rest[i, c]
+        self.seen = n + len(values)
 
     def percentile(self, p: float) -> np.ndarray:
         """Nearest-rank percentile per channel: sorted sample [ceil(p/100*n)-1]."""
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
-        out = np.empty(self.num_channels, dtype=np.float64)
-        for c in range(self.num_channels):
-            n = self.size(c)
-            if n == 0:
-                raise ValueError("no density statistics")
-            rank = max(math.ceil(p / 100.0 * n) - 1, 0)
-            out[c] = np.sort(self.samples[c][:n])[rank]
-        return out
+        n = min(self.seen, self.capacity)
+        if n == 0:
+            raise ValueError("no density statistics")
+        rank = max(math.ceil(p / 100.0 * n) - 1, 0)
+        return np.sort(self.samples[:, :n], axis=1)[:, rank]
 
 
 @dataclass(frozen=True)
 class ClipParams:
-    """Per-channel midpoint and half span of the training density spectrum."""
+    """Per-channel midpoint and half span of the training density spectrum.
+
+    Every half_span entry is finite and > 0, as `soft_clip` divides by it.
+    """
 
     mid: np.ndarray
     half_span: np.ndarray
@@ -97,8 +92,11 @@ class ClipParams:
     p90: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.half_span < 0):
-            raise ValueError("half_span must be non-negative")
+        span = np.asarray(self.half_span, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(span) | (span <= 0))
+        if bad.size:
+            raise ValueError(f"clip.half_span must be finite and > 0, "
+                             f"got {span.flat[bad[0]]} at index {bad[0]}")
 
     @classmethod
     def from_mid_span(cls, mid: np.ndarray, half_span: np.ndarray) -> "ClipParams":

@@ -27,10 +27,15 @@ class VoxelGrid:
         return self.cells.shape[0]
 
 
+def check_voxel_size(voxel_size: float, name: str = "voxel_size") -> None:
+    """Raise unless voxel_size is finite and > 0, naming it as `name`."""
+    if not 0.0 < voxel_size < np.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {voxel_size}")
+
+
 def voxelize(cloud: np.ndarray, voxel_size: float) -> VoxelGrid:
     """Partition an (N, 3) cloud into cubic voxels represented by cell centers."""
-    if voxel_size <= 0:
-        raise ValueError(f"voxel_size must be positive, got {voxel_size}")
+    check_voxel_size(voxel_size)
     scaled = np.floor(check_cloud(cloud) / voxel_size)
     fits = ((scaled >= -_INT64_LIMIT) & (scaled < _INT64_LIMIT)).all(axis=1)
     if not fits.all():
@@ -68,6 +73,10 @@ def voxel_offsets(grid: VoxelGrid, cloud: np.ndarray) -> np.ndarray:
 def majority_label(grid: VoxelGrid, point_labels: np.ndarray) -> np.ndarray:
     """Most frequent member label per voxel; ties break to the smallest id."""
     labels = check_labels(point_labels, grid.point_to_voxel.shape[0], LABEL_LIMIT)
-    votes = np.zeros((grid.num_voxels, labels.max(initial=0) + 1), dtype=np.int64)
-    np.add.at(votes, (grid.point_to_voxel, labels), 1)
-    return votes.argmax(axis=1)  # argmax picks the smallest id on ties
+    # One sort counts the (voxel, label) pairs, ordered by voxel, then by label.
+    pairs, votes = np.unique(grid.point_to_voxel * LABEL_LIMIT + labels, return_counts=True)
+    voxel = pairs // LABEL_LIMIT
+    top = np.maximum.reduceat(votes, np.flatnonzero(np.diff(voxel, prepend=-1)))
+    # A voxel's first pair with its top count holds the smallest such id.
+    leaders = np.flatnonzero(votes == top[voxel])
+    return pairs[leaders[np.diff(voxel[leaders], prepend=-1) > 0]] % LABEL_LIMIT

@@ -54,6 +54,16 @@ def test_density_single_point_scan_writes_16_bytes(tmp_path, capsys):
     assert csv.read_text().splitlines()[0] == "d10,d30,d50,d70"
 
 
+def test_density_beyond_float32_exits_2_and_writes_no_file(tmp_path, capsys):
+    scan = tmp_path / "near.bin"
+    dio.write_scan(np.array([[5.0, 1.0, -1.0], [1e-40, 0.0, 0.0]]), scan)
+    out = tmp_path / "d.f32"
+    assert run(["density", "--sensor", "waymo", "--input", str(scan),
+                "--out", str(out)]) == 2
+    assert "density beyond float32 range at row 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stats_prints_clip_params_per_channel(tmp_path, sim_cfg, capsys):
     scans = _simulate(tmp_path, sim_cfg)
     capsys.readouterr()

@@ -422,7 +422,9 @@ def test_model_from_tensors_validates(tmp_path):
          "tensor 'clip.mid' is not finite at flat index 2"),
         ("fuse.w", nan_at_5, "tensor 'fuse.w' is not finite at flat index 5"),
         ("clip.half_span", np.array([0.01, 0.0, 0.01, 0.01]),
-         "tensor 'clip.half_span' is not > 0 at flat index 1"),
+         "clip.half_span must be finite and > 0, got 0.0 at index 1"),
+        ("meta.voxel_size", np.float64(-0.2),
+         "tensor 'meta.voxel_size' must be finite and > 0, got -0.2"),
         ("clip.mid", np.full(3, 0.1),
          r"tensor 'clip.mid' has shape \(3,\), expected \(4,\)"),
         ("clip.mid", None, "checkpoint is missing tensor 'clip.mid'"),

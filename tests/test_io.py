@@ -69,6 +69,18 @@ def test_write_scan_rejects_coordinates_beyond_float32(tmp_path):
         assert not path.exists()
 
 
+def test_write_density_rejects_values_beyond_float32(tmp_path):
+    top = float(np.finfo(np.float32).max)
+    path = tmp_path / "top.f32"
+    dio.write_density(np.array([[top, 1.0, 2.0, 3.0]]), path)
+    assert np.array_equal(dio.read_density(path), [[top, 1.0, 2.0, 3.0]])
+    for value in (1e39, -1e39):
+        path = tmp_path / "over.f32"
+        with pytest.raises(ValueError, match="density beyond float32 range at row 1$"):
+            dio.write_density(np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, value]]), path)
+        assert not path.exists()
+
+
 def test_intensity_discarded_and_written_as_zero(tmp_path):
     path = tmp_path / "scan.bin"
     records = np.array([[1.0, 2.0, 3.0, 0.73]], dtype="<f4")

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ddfe.beams import DEFAULT_SIGMAS
 from ddfe.stats import (
     HALF_SPAN_FLOOR,
     ClipParams,
@@ -22,15 +25,15 @@ def _stream(res, column_values):
 def test_small_stream_kept_verbatim():
     res = DensityReservoir(seed=0)
     _stream(res, np.arange(10.0))
-    assert res.size(0) == 10
-    assert np.array_equal(np.sort(res.samples[0][:10]), np.arange(10.0))
+    assert res.seen == 10
+    assert np.array_equal(np.sort(res.samples[0, :10]), np.arange(10.0))
 
 
 def test_capacity_is_fixed():
     res = DensityReservoir(seed=1)
     _stream(res, np.random.default_rng(0).uniform(size=100_000))
-    assert all(res.size(c) == 1000 for c in range(4))
-    assert res.seen[0] == 100_000
+    assert res.samples.shape == (4, 1000)
+    assert res.seen == 100_000
 
 
 def test_constant_stream_yields_constant_reservoir():
@@ -204,3 +207,68 @@ def test_soft_clip_unit_slope_at_midpoint():
 def test_clip_params_reject_negative_span():
     with pytest.raises(ValueError):
         ClipParams.from_mid_span(np.zeros(4), np.array([-1.0, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf])
+def test_clip_params_reject_bad_span_naming_its_index(bad):
+    span = np.array([0.1, 0.2, bad, 0.4])
+    with pytest.raises(ValueError, match=f"clip.half_span must be finite and > 0, "
+                                         f"got {bad} at index 2"):
+        ClipParams.from_mid_span(np.zeros(4), span)
+    with pytest.raises(ValueError, match="at index 2"):
+        ClipParams(np.zeros(4), span, np.zeros(4), np.zeros(4))
+
+
+class _ChannelReservoirs:
+    """Reference: one Algorithm R reservoir per channel, each with its own count."""
+
+    def __init__(self, num_channels, capacity, seed):
+        self.capacity = capacity
+        self.samples = [[] for _ in range(num_channels)]
+        self.seen = [0] * num_channels
+        seqs = np.random.SeedSequence(seed).spawn(num_channels)
+        self.rngs = [np.random.default_rng(s) for s in seqs]
+
+    def update(self, values):
+        for c, reservoir in enumerate(self.samples):
+            stream = values[:, c].tolist()
+            fill = min(max(self.capacity - self.seen[c], 0), len(stream))
+            reservoir.extend(stream[:fill])
+            self.seen[c] += fill
+            rest = stream[fill:]
+            if rest:
+                n = self.seen[c]
+                slots = self.rngs[c].integers(0, np.arange(n + 1, n + len(rest) + 1))
+                for value, slot in zip(rest, slots.tolist()):
+                    if slot < self.capacity:
+                        reservoir[slot] = value
+                self.seen[c] += len(rest)
+
+    def percentile(self, p):
+        return np.array([sorted(r)[max(math.ceil(p / 100.0 * len(r)) - 1, 0)]
+                         for r in self.samples])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), capacity=st.integers(1, 40),
+       num_channels=st.integers(1, 5),
+       chunk_sizes=st.lists(st.integers(0, 90), min_size=1, max_size=8))
+def test_reservoir_matches_per_channel_algorithm_r(seed, capacity, num_channels,
+                                                   chunk_sizes):
+    res = DensityReservoir(num_channels, capacity, seed)
+    reference = _ChannelReservoirs(num_channels, capacity, seed)
+    rng = np.random.default_rng(seed)
+    for size in chunk_sizes:
+        chunk = rng.normal(size=(size, num_channels))
+        res.update(chunk)
+        reference.update(chunk)
+        assert reference.seen == [res.seen] * num_channels
+        kept = min(res.seen, capacity)
+        assert res.samples[:, :kept].tobytes() == np.array(reference.samples).tobytes()
+        if kept:
+            for p in (0.0, 10.0, 37.5, 90.0, 100.0):
+                assert res.percentile(p).tobytes() == reference.percentile(p).tobytes()
+
+
+def test_reservoir_defaults_to_one_channel_per_sigma():
+    assert DensityReservoir().num_channels == len(DEFAULT_SIGMAS)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -111,6 +113,40 @@ def test_majority_label_examples():
     assert np.array_equal(majority_label(grid, labels), [2, 3, 9])
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_majority_label_matches_brute_force(data):
+    if data is None:  # a two-way tie at the top of the id range
+        cells, labels = [0, 0, 1, 1, 0], [65535, 65534, 7, 7, 65535]
+    else:
+        cells = data.draw(st.lists(st.integers(0, 5), max_size=40))
+        labels = data.draw(st.lists(st.sampled_from([0, 1, 2, 65533, 65534, 65535]),
+                                    min_size=len(cells), max_size=len(cells)))
+    grid = voxelize(np.array([[c, 0.0, 0.0] for c in cells]).reshape(-1, 3), 1.0)
+    votes = [Counter() for _ in range(grid.num_voxels)]
+    for voxel, label in zip(grid.point_to_voxel.tolist(), labels):
+        votes[voxel][label] += 1
+    expected = [min(k for k, v in c.items() if v == max(c.values())) for c in votes]
+    got = majority_label(grid, np.array(labels, dtype=np.int64))
+    assert got.dtype == np.int64 and got.tolist() == expected
+
+
+def test_majority_label_memory_does_not_grow_with_the_largest_id():
+    rng = np.random.default_rng(3)
+    grid = voxelize(rng.uniform(0.0, 10.0, size=(2000, 3)), 1.0)  # 869 voxels
+    labels = rng.integers(0, 4, size=2000)
+    labels[0] = 65535
+    tracemalloc.start()
+    try:
+        majority_label(grid, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a voxels x (max id + 1) vote table would take about 450 MB here
+    assert peak < 1_000_000
+
+
 def test_majority_label_validates():
     cloud = np.array([[0.0, 0.0, 0.0]])
     grid = voxelize(cloud, 0.2)
@@ -121,8 +157,9 @@ def test_majority_label_validates():
 
 
 def test_voxelize_errors():
-    with pytest.raises(ValueError):
-        voxelize(np.zeros((1, 3)), 0.0)
+    for size in (0.0, -0.2, np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"voxel_size must be finite and > 0, got {size}"):
+            voxelize(np.zeros((1, 3)), size)
     with pytest.raises(ValueError, match="point index 1"):
         voxelize(np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]), 0.2)
     with pytest.raises(ValueError):
