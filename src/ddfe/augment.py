@@ -33,12 +33,30 @@ def nearest_beam(cloud: np.ndarray, config: SensorConfig) -> np.ndarray:
     """Index (0-based) of the vertical beam nearest each point's elevation.
 
     Raw scans carry no beam ids, so each point's beam is recovered from the
-    inclination grid.
+    inclination grid.  A point exactly midway between two beams goes to the
+    lower one (np.argmin's first-index rule, bit for bit), and a point
+    outside the field of view goes to the edge beam on its side.
     """
-    _, elevation_deg = beam_inclinations(config)
     _, phi, _ = spherical_of_cloud(cloud)
+    _, elevation_deg = beam_inclinations(config)
     phi_deg = np.degrees(phi)
-    return np.argmin(np.abs(phi_deg[:, None] - elevation_deg[None, :]), axis=1)
+    if config.v_beams == 1:
+        return np.zeros(len(phi_deg), dtype=np.intp)
+    # The grid ascends, so the nearest beam is one of the two around phi.
+    hi = np.searchsorted(elevation_deg, phi_deg)
+    np.clip(hi, 1, config.v_beams - 1, out=hi)
+    lo = hi - 1
+    gap_lo = np.abs(phi_deg - elevation_deg[lo])
+    gap_hi = np.abs(phi_deg - elevation_deg[hi])
+    beam = np.where(gap_lo <= gap_hi, lo, hi)
+    # Beams closer together than float64 resolves at phi (a degenerate field
+    # of view) can tie with a lower beam, which argmin's rule picks instead.
+    # Beam 0 meets the last beam here; argmin then still gives 0.
+    gap = np.minimum(gap_lo, gap_hi)
+    tied = np.flatnonzero(np.abs(phi_deg - elevation_deg[beam - 1]) == gap)
+    if tied.size:
+        beam[tied] = np.argmin(np.abs(phi_deg[tied, None] - elevation_deg), axis=1)
+    return beam
 
 
 def beam_sample(
@@ -52,7 +70,7 @@ def beam_sample(
     keep holds 0-based beam indices into the config's vertical beams.
     Idempotent for a fixed keep set.
     """
-    keep = np.unique(np.asarray(keep, dtype=np.int64))
+    keep = np.asarray(keep, dtype=np.int64)
     if keep.size == 0:
         raise ValueError("keep set is empty")
     if keep.min() < 0 or keep.max() >= config.v_beams:
@@ -62,7 +80,9 @@ def beam_sample(
         )
     cloud = np.asarray(cloud, dtype=np.float64)
     labels = check_labels(labels, len(cloud), LABEL_LIMIT)
-    mask = np.isin(nearest_beam(cloud, config), keep)
+    kept = np.zeros(config.v_beams, dtype=bool)
+    kept[keep] = True
+    mask = kept[nearest_beam(cloud, config)]
     return cloud[mask], labels[mask]
 
 

@@ -108,9 +108,21 @@ def write_labels(labels: np.ndarray, path) -> None:
         fh.write(labels.astype("<u4").tobytes())
 
 
+def _check_density(values) -> np.ndarray:
+    """Return an (N, DENSITY_CHANNELS) embedding as float64; a NaN or inf raises,
+    naming its row, so a writer never makes a file its reader rejects."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] != DENSITY_CHANNELS:
+        raise ValueError(f"expected (N, {DENSITY_CHANNELS}) densities, got shape {values.shape}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"non-finite density at row {np.flatnonzero(~finite)[0] // DENSITY_CHANNELS}")
+    return values
+
+
 def write_density(values: np.ndarray, path) -> None:
-    """Write an (N, C) density embedding as row-major float32."""
-    records = _narrow_float32(np.asarray(values, dtype=np.float64), "density", "row")
+    """Write an (N, 4) density embedding as row-major float32."""
+    records = _narrow_float32(_check_density(values), "density", "row")
     with open(path, "wb") as fh:
         fh.write(records.tobytes())
 
@@ -125,7 +137,7 @@ def read_density(path) -> np.ndarray:
 
 
 def write_density_csv(values: np.ndarray, path) -> None:
-    values = np.asarray(values, dtype=np.float64)
+    values = _check_density(values)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(DENSITY_CSV_HEADER + "\n")
         for row in values:

@@ -10,9 +10,11 @@ SIM32, the `evaluate` confusion matrix and the `binned_voxel_features` means
 and counts.  Then come the full model's `point_predictions` on one simulated
 waymo scan, `density_for_cloud` on one simulated scan per sensor preset, and
 `enhanced_mix3d` -> `random_keep_set` -> `beam_sample` on the first two
-training scans under `default_rng(0)`.  A change that claims to keep
-training, evaluation, prediction, the feature report, density or
-augmentation bit-identical must print the same digest as its base commit:
+training scans under `default_rng(0)`, and `nearest_beam` on each preset's
+`beam_edge_cloud` (tests/conftest.py: points at every beam elevation, every
+midpoint between beams, the FOV edges and +-89 degrees).  A change that
+claims to keep training, evaluation, prediction, the feature report, density
+or augmentation bit-identical must print the same digest as its base commit:
 
     PYTHONPATH=src python tests/checkpoint_digest.py
 
@@ -32,10 +34,12 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from conftest import beam_edge_cloud  # noqa: E402
 from ddfe.augment import (  # noqa: E402
     AugmentConfig,
     beam_sample,
     enhanced_mix3d,
+    nearest_beam,
     random_keep_set,
 )
 from ddfe.beams import beam_profile, density_for_cloud  # noqa: E402
@@ -49,7 +53,12 @@ from ddfe.embedding import (  # noqa: E402
     train,
 )
 from ddfe.io import save_checkpoint  # noqa: E402
-from ddfe.sensors import PRESETS, ProjectionParams, SensorConfig  # noqa: E402
+from ddfe.sensors import (  # noqa: E402
+    PRESETS,
+    ProjectionParams,
+    SensorConfig,
+    beam_inclinations,
+)
 from ddfe.simulate import make_dataset  # noqa: E402
 
 SIM64 = SensorConfig("sim64", 512, 64, -25.0, 3.0)
@@ -91,6 +100,10 @@ def checkpoint_digest() -> str:
     keep = random_keep_set(SIM64, AugmentConfig(), rng)
     for array in (*mixed, keep, *beam_sample(*mixed, SIM64, keep)):
         digest.update(array.tobytes())
+    for sensor in PRESETS.values():
+        edges = beam_edge_cloud(beam_inclinations(sensor)[1],
+                                (sensor.fov_min_deg, sensor.fov_max_deg))
+        digest.update(nearest_beam(edges, sensor).tobytes())
     return digest.hexdigest()
 
 

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import beam_edge_cloud
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ddfe.augment import (
     AugmentConfig,
@@ -13,7 +17,13 @@ from ddfe.augment import (
     rotate_yaw,
 )
 from ddfe.beams import band_center_density, beam_profile
-from ddfe.sensors import ProjectionParams, SensorConfig, spherical_of_cloud
+from ddfe.sensors import (
+    PRESETS,
+    ProjectionParams,
+    SensorConfig,
+    beam_inclinations,
+    spherical_of_cloud,
+)
 from ddfe.simulate import raycast_scan, wall_scene
 
 SIM64 = SensorConfig("sim64", 512, 64, -25.0, 3.0)
@@ -50,6 +60,54 @@ def test_halved_scan_is_exact_beam_subset():
     assert np.array_equal(kept_cloud, cloud[kept_idx])
     # and its beam is in the keep set
     assert np.all(np.isin(nearest_beam(kept_cloud, SIM64), keep))
+
+
+def _argmin_beam(cloud, config):
+    """The reference: argmin over the (N, V) distance matrix, first index on ties."""
+    _, elevation_deg = beam_inclinations(config)
+    phi_deg = np.degrees(spherical_of_cloud(cloud)[1])
+    return np.argmin(np.abs(phi_deg[:, None] - elevation_deg[None, :]), axis=1)
+
+
+_FOV = st.lists(st.floats(-90.0, 90.0), min_size=2, max_size=2, unique=True).map(sorted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(v_beams=st.integers(1, 128), fov=_FOV)
+@example(v_beams=64, fov=[-24.8, 2.0])        # semantickitti
+@example(v_beams=128, fov=[0.0, 5e-324])     # beams float64 cannot tell apart
+def test_nearest_beam_is_argmin_bytewise(v_beams, fov):
+    config = SensorConfig("s", 16, v_beams, *fov)
+    cloud = beam_edge_cloud(beam_inclinations(config)[1], fov)
+    assert nearest_beam(cloud, config).tobytes() == _argmin_beam(cloud, config).tobytes()
+
+
+def test_nearest_beam_breaks_exact_ties_toward_the_lower_beam():
+    for config in PRESETS.values():
+        _, elevation_deg = beam_inclinations(config)
+        cloud = beam_edge_cloud(elevation_deg, (config.fov_min_deg, config.fov_max_deg))
+        phi_deg = np.degrees(spherical_of_cloud(cloud)[1])
+        distance = np.abs(phi_deg[:, None] - elevation_deg)
+        upper = config.v_beams - 1 - np.argmin(distance[:, ::-1], axis=1)
+        beam = nearest_beam(cloud, config)
+        tied = beam != upper
+        assert tied.sum() > 100, config.name
+        assert np.array_equal(distance[tied, beam[tied]], distance[tied, upper[tied]])
+        assert np.array_equal(beam, _argmin_beam(cloud, config))
+
+
+def test_beam_sample_memory_is_linear_in_points():
+    n = 200_000
+    cloud = np.random.default_rng(6).normal(size=(n, 3))
+    labels = np.zeros(n, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        beam_sample(cloud, labels, SIM64, np.arange(0, 64, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an (N, V) float64 distance matrix alone would take 64 * 8 bytes per point
+    assert peak < 200 * n
 
 
 def test_beam_sample_idempotent():

@@ -81,6 +81,19 @@ def test_write_density_rejects_values_beyond_float32(tmp_path):
         assert not path.exists()
 
 
+@pytest.mark.parametrize("writer", [dio.write_density, dio.write_density_csv])
+def test_density_writers_reject_what_their_readers_reject(tmp_path, writer):
+    path = tmp_path / "d.out"
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^non-finite density at row 1$"):
+            writer(np.array([[1.0, 2.0, 3.0, 4.0], [1.0, value, 3.0, 4.0]]), path)
+        assert not path.exists()
+    for shape in ((2, 3), (2, 5), (8,), (1, 2, 4)):
+        with pytest.raises(ValueError, match=re.escape(f"expected (N, 4) densities, got shape {shape}")):
+            writer(np.ones(shape), path)
+        assert not path.exists()
+
+
 def test_intensity_discarded_and_written_as_zero(tmp_path):
     path = tmp_path / "scan.bin"
     records = np.array([[1.0, 2.0, 3.0, 0.73]], dtype="<f4")
