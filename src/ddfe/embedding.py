@@ -20,7 +20,7 @@ import numpy as np
 
 from . import nn
 from .beams import DEFAULT_SIGMAS, BeamProfile, beam_profile, density_for_cloud
-from .io import check_labels, parse_key_values, read_ascii
+from .io import LABEL_LIMIT, check_labels, parse_key_values, read_ascii
 from .sensors import ProjectionParams, SensorConfig, spherical_of_cloud
 from .stats import ClipParams, DensityReservoir, fit_clip, soft_clip
 from .voxels import VoxelGrid, check_voxel_size, majority_label, voxel_offsets, voxelize
@@ -38,6 +38,11 @@ POINT_CHANNELS = 16
 VOXEL_CHANNELS = 16
 FUSED_CHANNELS = 32
 HIDDEN = 16
+
+# Fewest rows in a block of the point stream at inference.  A GEMM over a
+# block of one row can differ in its last bits from the same row of the
+# whole product; blocks this large match it bit for bit.
+POINT_BLOCK = 8192
 
 # Voxel-center range bins of the feature report: 0-50 m in 5 m steps.
 RANGE_BIN_EDGES = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0)
@@ -112,6 +117,23 @@ class EncodedScene:
     voxel_labels: np.ndarray | None = None
 
 
+def _blas_threads() -> int | None:
+    """BLAS threads as OpenBLAS reads them at load time: the first of these
+    variables that holds a positive count, or None for its default."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return None
+
+
+def _workers(jobs: int) -> int:
+    """Threads for `jobs` parallel jobs: one per job up to the cores where BLAS
+    runs on one thread, else one.  Multi-threaded BLAS calls from two threads
+    at once run slower than one after another."""
+    return min(jobs, len(os.sched_getaffinity(0))) if _blas_threads() == 1 else 1
+
+
 def _center_features(centers: np.ndarray) -> np.ndarray:
     """Voxel centers as (cos az, sin az, elevation, range/25)."""
     theta, phi, r = spherical_of_cloud(centers)
@@ -126,13 +148,31 @@ def encode_scene(
     labels: np.ndarray | None = None,
     use_density: bool = True,
 ) -> EncodedScene:
+    """Voxel grid, center features, offsets and density of one cloud.
+
+    Where BLAS runs on one thread, the density is computed on a second
+    thread while this one voxelizes the cloud; otherwise after it.  Either
+    way voxelize's result comes first, so a non-finite point is named by
+    voxelize before an origin point is named by the density.
+    """
     cloud = np.asarray(cloud, dtype=np.float64)
-    grid = voxelize(cloud, voxel_size)
-    center_feats = _center_features(grid.centers)
-    if use_density:
-        density_raw = density_for_cloud(profile, cloud, proj)
+
+    def geometry():
+        grid = voxelize(cloud, voxel_size)
+        return grid, _center_features(grid.centers), voxel_offsets(grid, cloud)
+
+    if use_density and _workers(2) > 1:
+        # A scene's arrays are made on this thread: left in a pool thread's
+        # malloc arena for the scene's lifetime, they raised training's peak
+        # RSS by 2-4 %.  So voxelize runs here and the density is copied here.
+        with ThreadPoolExecutor(1) as pool:
+            density_job = pool.submit(density_for_cloud, profile, cloud, proj)
+            grid, center_feats, offsets = geometry()
+            density_raw = density_job.result().copy(order="K")
     else:
-        density_raw = np.zeros((cloud.shape[0], profile.smooth_h.shape[0]))
+        grid, center_feats, offsets = geometry()
+        density_raw = (density_for_cloud(profile, cloud, proj) if use_density
+                       else np.zeros((cloud.shape[0], profile.smooth_h.shape[0])))
     voxel_labels = None
     if labels is not None:
         labels = np.asarray(labels)
@@ -140,7 +180,7 @@ def encode_scene(
     return EncodedScene(
         grid=grid,
         segments=nn.SegmentMap(grid.point_to_voxel, grid.num_voxels),
-        offsets=voxel_offsets(grid, cloud),
+        offsets=offsets,
         center_feats=center_feats,
         density_raw=density_raw,
         labels=labels,
@@ -164,6 +204,22 @@ def _encoded_dataset(dataset: list[tuple[np.ndarray, np.ndarray]],
                            config.use_density)
 
 
+def _point_stream(scene: EncodedScene, params: EmbeddingParams, clip: ClipParams | None,
+                  rows: slice) -> tuple[nn.Tensor, nn.Tensor]:
+    """The row-wise half of the forward pass on scene rows `rows`: the scaled
+    (clipped) density and the (gated) point features."""
+    density = scene.density_raw[rows]
+    if clip is not None:
+        density = soft_clip(density, clip)
+    density = nn.Tensor(density * DENSITY_SCALE)
+    point_feats = params._mlp2(
+        nn.Tensor(scene.offsets[rows] * (2.0 / params.config.voxel_size)), "point_head")
+    if params.config.use_attention:
+        point_gate = nn.sigmoid(params._mlp2(density, "attn_point"))
+        point_feats = nn.multiply(point_gate, point_feats)
+    return density, point_feats
+
+
 def forward_encoded(scene: EncodedScene, params: EmbeddingParams,
                     clip: ClipParams | None) -> tuple[nn.Tensor, nn.Tensor]:
     """Differentiable DDFE forward pass on a pre-encoded scene.
@@ -173,15 +229,33 @@ def forward_encoded(scene: EncodedScene, params: EmbeddingParams,
     point stream over each voxel's points.  With attention on, the point
     gate sees each point's clipped density and the voxel gate the mean
     clipped density of its points.
+
+    On constant parameters where BLAS runs on one thread, the point stream
+    runs in blocks of at least POINT_BLOCK rows on parallel threads, each
+    writing its rows in place.  A block's GEMMs give the same bits as the
+    same rows of the whole product, so the result does too.
     """
-    density = scene.density_raw if clip is None else soft_clip(scene.density_raw, clip)
-    density = nn.Tensor(density * DENSITY_SCALE)
+    n = scene.offsets.shape[0]
+    blocks = 1
+    if _blas_threads() == 1 and not any(p.requires_grad for p in params.parameters()):
+        blocks = max(1, n // POINT_BLOCK)
+    if blocks == 1:
+        density, point_feats = _point_stream(scene, params, clip, slice(None))
+    else:
+        density = np.empty((n, len(DEFAULT_SIGMAS)))
+        point_feats = np.empty((n, POINT_CHANNELS))
+
+        def run_block(rows):
+            block_density, block_feats = _point_stream(scene, params, clip, rows)
+            density[rows] = block_density.data
+            point_feats[rows] = block_feats.data
+
+        edges = [n * i // blocks for i in range(blocks + 1)]
+        with ThreadPoolExecutor(_workers(blocks)) as pool:
+            list(pool.map(run_block, map(slice, edges[:-1], edges[1:])))
+        density, point_feats = nn.Tensor(density), nn.Tensor(point_feats)
     voxel_feats = params._mlp2(nn.Tensor(scene.center_feats), "voxel_mlp")
-    point_feats = params._mlp2(
-        nn.Tensor(scene.offsets * (2.0 / params.config.voxel_size)), "point_head")
     if params.config.use_attention:
-        point_gate = nn.sigmoid(params._mlp2(density, "attn_point"))
-        point_feats = nn.multiply(point_gate, point_feats)
         voxel_gate = nn.sigmoid(params._mlp2(nn.segment_mean(density, scene.segments),
                                              "attn_voxel"))
         voxel_feats = nn.multiply(voxel_gate, voxel_feats)
@@ -224,6 +298,8 @@ class TrainConfig:
         for name, low in (("epochs", 1), ("batch_size", 1), ("num_classes", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.num_classes > LABEL_LIMIT:  # a label file holds no larger class id
+            raise ValueError(f"num_classes must be <= {LABEL_LIMIT}, got {self.num_classes}")
         for name in ("base_lr", "lr_decay", "voxel_size"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
@@ -265,16 +341,6 @@ def scene_loss(scene: EncodedScene, model_params: EmbeddingParams,
     loss = loss + nn.lovasz_softmax(nn.softmax(voxel_logits), scene.voxel_labels)
     loss = loss + nn.weighted_cross_entropy(voxel_logits, scene.voxel_labels, class_weights)
     return loss
-
-
-def _blas_threads() -> int | None:
-    """BLAS threads as OpenBLAS reads them at load time: the first of these
-    variables that holds a positive count, or None for its default."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return None
 
 
 def train(
@@ -321,9 +387,7 @@ def train(
         loss = scene_loss(scenes[idx], params, clip, class_weights) * scale
         return loss, loss.backward() if np.isfinite(loss.data) else None
 
-    # Multi-threaded BLAS calls from two threads at once run slower than one after another.
-    workers = min(hyper.batch_size, len(os.sched_getaffinity(0))) if _blas_threads() == 1 else 1
-    with ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(_workers(hyper.batch_size)) as pool:
         for epoch in range(hyper.epochs):
             optimizer.lr = nn.lr_schedule(epoch, hyper.base_lr, hyper.lr_decay)
             order = rng.permutation(len(scenes))

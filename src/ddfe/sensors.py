@@ -22,7 +22,11 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class SensorConfig:
-    """Beam counts and vertical field of view of one LiDAR sensor."""
+    """Beam counts and vertical field of view of one LiDAR sensor.
+
+    Both field-of-view bounds lie in [-90, 90] degrees, the lower one below
+    the upper.
+    """
 
     name: str
     h_beams: int
@@ -36,6 +40,10 @@ class SensorConfig:
                 f"beam counts must be >= 1, got h_beams={self.h_beams}, "
                 f"v_beams={self.v_beams}"
             )
+        for name in ("fov_min_deg", "fov_max_deg"):
+            if not -90.0 <= getattr(self, name) <= 90.0:  # NaN fails too
+                raise ValueError(
+                    f"{name} must be finite and in [-90, 90] degrees, got {getattr(self, name)}")
         if not self.fov_min_deg < self.fov_max_deg:
             raise ValueError(
                 f"fov_min_deg ({self.fov_min_deg}) must be below "

@@ -8,9 +8,11 @@ TrainConfig(epochs=2, seed=0))`, with BLAS on one thread.  Each run adds its
 checkpoint and, on the training scans and on the same worlds scanned by
 SIM32, the `evaluate` confusion matrix and the `binned_voxel_features` means
 and counts.  Then come the full model's `point_predictions` on one simulated
-waymo scan, `density_for_cloud` on one simulated scan per sensor preset, and
-`enhanced_mix3d` -> `random_keep_set` -> `beam_sample` on the first two
-training scans under `default_rng(0)`, and `nearest_beam` on each preset's
+waymo scan and both `forward_encoded` feature arrays on it (an argmax can
+hide a last-bit change in the features), `density_for_cloud` on one
+simulated scan per sensor preset, and `enhanced_mix3d` -> `random_keep_set`
+-> `beam_sample` on the first two training scans under `default_rng(0)`,
+and `nearest_beam` on each preset's
 `beam_edge_cloud` (tests/conftest.py: points at every beam elevation, every
 midpoint between beams, the FOV edges and +-89 degrees).  A change that
 claims to keep training, evaluation, prediction, the feature report, density
@@ -49,6 +51,7 @@ from ddfe.embedding import (  # noqa: E402
     checkpoint_tensors,
     encode_scene,
     evaluate,
+    forward_encoded,
     point_predictions,
     train,
 )
@@ -92,6 +95,8 @@ def checkpoint_digest() -> str:
     cloud, _ = make_dataset(1, waymo, seed=7)[0]
     scene = encode_scene(cloud, beam_profile(waymo, proj), proj, full.config.voxel_size)
     digest.update(point_predictions(scene, full).tobytes())
+    for features in forward_encoded(scene, full.params, full.clip):
+        digest.update(features.data.tobytes())
     for sensor in PRESETS.values():
         cloud, _ = make_dataset(1, sensor, seed=7)[0]
         digest.update(density_for_cloud(beam_profile(sensor, proj), cloud, proj).tobytes())

@@ -214,6 +214,27 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert "apply_prob must be in [0, 1]" in capsys.readouterr().err
 
 
+def test_classes_beyond_the_label_limit_is_a_usage_error(tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--sensor", "nuscenes", "--data", str(tmp_path),
+                "--classes", "100000000", "--out", str(ckpt)]) == 1
+    assert "num_classes must be <= 65536, got 100000000" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_sensor_file_with_an_infinite_fov_bound_is_rejected(tmp_path, capsys):
+    sensor = tmp_path / "inf.cfg"
+    sensor.write_text(_sensor_text("inf", 16).replace("-20.0", "-inf"))
+    scan = tmp_path / "one.bin"
+    dio.write_scan(np.array([[5.0, 1.0, -1.0]]), scan)
+    out = tmp_path / "d.f32"
+    assert run(["density", "--sensor", str(sensor), "--input", str(scan),
+                "--out", str(out)]) == 2
+    assert "fov_min_deg must be finite and in [-90, 90] degrees, got -inf" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "stats", "augment", "train"])
 def test_negative_seed_exits_1_before_any_output(tmp_path, capsys, command):
     out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import functools
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -133,6 +134,133 @@ def test_forward_is_bitwise_the_reference_composition(small_scene, use_clip, use
         runs.append((point.data.tobytes(), fused.data.tobytes(),
                      [grads[p].tobytes() for p in params.parameters() if p in grads]))
     assert runs[0] == runs[1]
+
+
+def _box_cloud(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.uniform(3.0, 20.0, n), rng.uniform(-6.0, 6.0, n),
+                     rng.uniform(-2.0, 1.0, n)], axis=1)
+
+
+@functools.cache
+def _block_scene(rows):
+    """A scene of `rows` points in a box, or of one simulated sim64 scan
+    (rows None), with the sim16 density."""
+    if rows is None:
+        cloud, _ = make_dataset(1, SensorConfig("sim64", 512, 64, -25.0, 3.0), seed=0)[0]
+    else:
+        cloud = _box_cloud(rows, rows)
+    return encode_scene(cloud, beam_profile(SIM, PROJ), PROJ, 0.2)
+
+
+def _constant_params(**kwargs):
+    params = _params(seed=4, **kwargs)
+    for name, tensor in params.tensors.items():
+        params.tensors[name] = nn.Tensor(tensor.data)
+    return params
+
+
+def _set_blas_threads(monkeypatch, value):
+    """The BLAS thread variables as `_blas_threads` reads them: one set, or none."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    if value is not None:
+        monkeypatch.setenv("OMP_NUM_THREADS", value)
+
+
+def _recorded_pools(monkeypatch, cores):
+    """The worker count of each pool `embedding` builds, on `cores` cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    workers = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(embedding, "ThreadPoolExecutor", RecordingPool)
+    return workers
+
+
+def _recorded_blocks(monkeypatch):
+    """The row slices forward_encoded hands to its point stream, in call order."""
+    blocks = []
+    point_stream = embedding._point_stream
+
+    def recording(scene, params, clip, rows):
+        blocks.append(rows.indices(scene.offsets.shape[0])[:2])
+        return point_stream(scene, params, clip, rows)
+
+    monkeypatch.setattr(embedding, "_point_stream", recording)
+    return blocks
+
+
+# (rows, blocks): just below and just above the block floor, two uneven blocks,
+# and a sim64 scan of about 27k points
+@pytest.mark.parametrize("rows,expected_blocks", [
+    (embedding.POINT_BLOCK - 1, 1),
+    (embedding.POINT_BLOCK + 1, 1),
+    (2 * embedding.POINT_BLOCK + 1, 2),
+    (None, 3),
+])
+@pytest.mark.parametrize("use_clip", [True, False])
+@pytest.mark.parametrize("use_attention", [True, False])
+def test_blocked_forward_is_bitwise_the_reference_composition(
+        monkeypatch, rows, expected_blocks, use_clip, use_attention):
+    scene, clip = _block_scene(rows), _clip() if use_clip else None
+    params = _constant_params(use_attention=use_attention)
+    pools = _recorded_pools(monkeypatch, cores=2)
+    blocks = _recorded_blocks(monkeypatch)
+    got = forward_encoded(scene, params, clip)
+    want = _reference_forward(scene, params, clip)
+    assert [g.data.tobytes() for g in got] == [w.data.tobytes() for w in want]
+    n = scene.offsets.shape[0]
+    assert len(blocks) == expected_blocks
+    assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]] and blocks[-1][1] == n
+    assert min(b - a for a, b in blocks) >= min(n, embedding.POINT_BLOCK)
+    assert pools == ([min(expected_blocks, 2)] if expected_blocks > 1 else [])
+
+
+def test_blocked_forward_on_more_threads_than_cores(monkeypatch):
+    # eight blocks on eight threads, switching often: each must write its own rows
+    scene, params = _block_scene(8 * embedding.POINT_BLOCK), _constant_params()
+    pools = _recorded_pools(monkeypatch, cores=8)
+    want = [w.data.tobytes() for w in _reference_forward(scene, params, _clip())]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got = forward_encoded(scene, params, _clip())
+            assert [g.data.tobytes() for g in got] == want
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [8] * 3
+
+
+@pytest.mark.parametrize("blas_threads,trainable", [(None, False), ("1", True)])
+def test_forward_is_one_block_unless_blas_runs_on_one_thread_and_no_tape(
+        monkeypatch, blas_threads, trainable):
+    _set_blas_threads(monkeypatch, blas_threads)
+    scene = _block_scene(None)
+    params = _params(seed=4) if trainable else _constant_params()
+    blocks = _recorded_blocks(monkeypatch)
+    got = forward_encoded(scene, params, _clip())
+    want = _reference_forward(scene, params, _clip())
+    assert [g.data.tobytes() for g in got] == [w.data.tobytes() for w in want]
+    assert blocks == [(0, scene.offsets.shape[0])]
+
+
+@pytest.mark.parametrize("blas_threads", [None, "1"])
+def test_encode_scene_names_the_first_bad_point_as_voxelize_then_density(
+        monkeypatch, profile, blas_threads):
+    _set_blas_threads(monkeypatch, blas_threads)
+    cloud = _box_cloud(50, 0)
+    cloud[7] = 0.0
+    with pytest.raises(ValueError, match=r"sensor origin \(point index 7\)"):
+        encode_scene(cloud, profile, PROJ, 0.2)
+    cloud[30, 1] = np.nan  # voxelize names it, though the density meets the origin first
+    with pytest.raises(ValueError, match="non-finite coordinates at point index 30"):
+        encode_scene(cloud, profile, PROJ, 0.2)
 
 
 def test_gates_keep_feature_magnitudes(small_scene):
@@ -314,22 +442,14 @@ def _one_tape_checkpoint(batch_size: int) -> dict[str, np.ndarray]:
 @pytest.mark.parametrize("batch_size", [1, 2, 3])
 @pytest.mark.parametrize("blas_threads", [None, "1"])
 def test_train_is_one_tape_per_batch_on_any_worker_count(monkeypatch, batch_size, blas_threads):
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    if blas_threads is not None:
-        monkeypatch.setenv("OMP_NUM_THREADS", blas_threads)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    workers = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(embedding, "ThreadPoolExecutor", RecordingPool)
+    _set_blas_threads(monkeypatch, blas_threads)
+    workers = _recorded_pools(monkeypatch, cores=2)
     model = train(_TRAIN_DATA, SIM, TrainConfig(epochs=2, batch_size=batch_size, seed=0))
-    # scenes in parallel only where BLAS runs on one thread, one per core up to the batch
-    assert workers == [min(batch_size, 2) if blas_threads else 1]
+    # Threads only where BLAS runs on one: as each scene is encoded, one
+    # worker for its density beside voxelize; then train's, one worker per
+    # core up to the batch.
+    encode_pools = [1] * len(_TRAIN_DATA) if blas_threads else []
+    assert workers == encode_pools + [min(batch_size, 2) if blas_threads else 1]
     got, want = checkpoint_tensors(model), _one_tape_checkpoint(batch_size)
     assert list(got) == list(want)
     for name in want:
@@ -477,6 +597,10 @@ def test_train_config_file_round_trip(tmp_path):
         path.write_text(f"{field} = {low - 1}\n")
         with pytest.raises(ValueError, match=f"{field} must be >= {low}, got {low - 1}"):
             TrainConfig.from_file(path)
+    path.write_text("num_classes = 65537\n")
+    with pytest.raises(ValueError, match="num_classes must be <= 65536, got 65537"):
+        TrainConfig.from_file(path)
+    assert TrainConfig(num_classes=dio.LABEL_LIMIT).num_classes == 65536
     for field in ("base_lr", "lr_decay", "voxel_size"):
         for value in ("nan", "inf", "0", "-0.5"):
             path.write_text(f"{field} = {value}\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,25 @@ def test_config_invariants():
         SensorConfig("bad", 64, 64, 10.0, -10.0)
     with pytest.raises(KeyError):
         get_preset("velodyne9000")
+
+
+@pytest.mark.parametrize("bound", [-np.inf, np.inf, np.nan, -1e308, 1e308, -90.5, 90.5])
+@pytest.mark.parametrize("field", ["fov_min_deg", "fov_max_deg"])
+def test_fov_bounds_must_be_finite_angles(tmp_path, field, bound):
+    fov = {"fov_min_deg": -10.0, "fov_max_deg": 10.0, field: bound}
+    message = re.escape(f"{field} must be finite and in [-90, 90] degrees, got {bound}")
+    with pytest.raises(ValueError, match=message):
+        SensorConfig("bad", 64, 64, fov["fov_min_deg"], fov["fov_max_deg"])
+    path = tmp_path / "bad.cfg"
+    path.write_text("name = bad\nh_beams = 64\nv_beams = 64\n"
+                    + "".join(f"{k} = {v!r}\n" for k, v in fov.items()))
+    with pytest.raises(ValueError, match=message):
+        load_sensor_config(path)
+
+
+def test_fov_bounds_may_reach_the_poles():
+    _, elevation_deg = beam_inclinations(SensorConfig("full", 64, 64, -90.0, 90.0))
+    assert np.isfinite(elevation_deg).all() and elevation_deg[-1] == 90.0
 
 
 def test_beam_inclinations_semantickitti():
