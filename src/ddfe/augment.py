@@ -40,23 +40,12 @@ def nearest_beam(cloud: np.ndarray, config: SensorConfig) -> np.ndarray:
     _, phi, _ = spherical_of_cloud(cloud)
     _, elevation_deg = beam_inclinations(config)
     phi_deg = np.degrees(phi)
-    if config.v_beams == 1:
-        return np.zeros(len(phi_deg), dtype=np.intp)
-    # The grid ascends, so the nearest beam is one of the two around phi.
+    # An ascending grid, no two beams tied (SensorConfig): the nearest is lo or hi.
     hi = np.searchsorted(elevation_deg, phi_deg)
-    np.clip(hi, 1, config.v_beams - 1, out=hi)
-    lo = hi - 1
+    np.clip(hi, 0, config.v_beams - 1, out=hi)
+    lo = np.maximum(hi - 1, 0)
     gap_lo = np.abs(phi_deg - elevation_deg[lo])
-    gap_hi = np.abs(phi_deg - elevation_deg[hi])
-    beam = np.where(gap_lo <= gap_hi, lo, hi)
-    # Beams closer together than float64 resolves at phi (a degenerate field
-    # of view) can tie with a lower beam, which argmin's rule picks instead.
-    # Beam 0 meets the last beam here; argmin then still gives 0.
-    gap = np.minimum(gap_lo, gap_hi)
-    tied = np.flatnonzero(np.abs(phi_deg - elevation_deg[beam - 1]) == gap)
-    if tied.size:
-        beam[tied] = np.argmin(np.abs(phi_deg[tied, None] - elevation_deg), axis=1)
-    return beam
+    return np.where(gap_lo <= np.abs(phi_deg - elevation_deg[hi]), lo, hi)
 
 
 def beam_sample(

@@ -78,13 +78,9 @@ def rasterize_beams(
     land where exact arithmetic puts them.  A vertical beam outside the
     image's elevation band (edges included) is rejected, naming its 0-based
     index: clamped into an edge row, it would OR together with its
-    neighbours there.  So is a sensor with more horizontal beams than the
-    image has columns, whose beams would share columns.
+    neighbours there.  SensorConfig keeps the horizontal beams within the
+    image's columns, one per column.
     """
-    if config.h_beams > params.width:
-        raise ValueError(
-            f"sensor {config.name!r} has {config.h_beams} horizontal beams, more than "
-            f"the projection image's {params.width} columns")
     i = np.arange(1, config.h_beams + 1, dtype=np.float64)
     cols = np.floor(i * params.width / config.h_beams).astype(np.int64) % params.width
     raw_h = np.zeros(params.width, dtype=np.float64)

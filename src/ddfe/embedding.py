@@ -117,21 +117,15 @@ class EncodedScene:
     voxel_labels: np.ndarray | None = None
 
 
-def _blas_threads() -> int | None:
-    """BLAS threads as OpenBLAS reads them at load time: the first of these
-    variables that holds a positive count, or None for its default."""
+def _threads() -> int:
+    """Threads for parallel jobs: the cores where BLAS runs on one thread (as
+    OpenBLAS reads the first of these variables that holds a positive count),
+    else one.  Multi-threaded BLAS calls from two threads at once are slower."""
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(var, "").strip()
         if value.isdigit() and int(value) > 0:
-            return int(value)
-    return None
-
-
-def _workers(jobs: int) -> int:
-    """Threads for `jobs` parallel jobs: one per job up to the cores where BLAS
-    runs on one thread, else one.  Multi-threaded BLAS calls from two threads
-    at once run slower than one after another."""
-    return min(jobs, len(os.sched_getaffinity(0))) if _blas_threads() == 1 else 1
+            return len(os.sched_getaffinity(0)) if int(value) == 1 else 1
+    return 1
 
 
 def _center_features(centers: np.ndarray) -> np.ndarray:
@@ -161,7 +155,7 @@ def encode_scene(
         grid = voxelize(cloud, voxel_size)
         return grid, _center_features(grid.centers), voxel_offsets(grid, cloud)
 
-    if use_density and _workers(2) > 1:
+    if use_density and _threads() > 1:
         # A scene's arrays are made on this thread: left in a pool thread's
         # malloc arena for the scene's lifetime, they raised training's peak
         # RSS by 2-4 %.  So voxelize runs here and the density is copied here.
@@ -230,14 +224,14 @@ def forward_encoded(scene: EncodedScene, params: EmbeddingParams,
     gate sees each point's clipped density and the voxel gate the mean
     clipped density of its points.
 
-    On constant parameters where BLAS runs on one thread, the point stream
-    runs in blocks of at least POINT_BLOCK rows on parallel threads, each
-    writing its rows in place.  A block's GEMMs give the same bits as the
-    same rows of the whole product, so the result does too.
+    On constant parameters, if _threads() is above one, the point stream runs
+    in blocks of at least POINT_BLOCK rows on parallel threads, each writing
+    its rows in place.  A block's GEMMs give the same bits as the same rows
+    of the whole product, so the result does too.
     """
     n = scene.offsets.shape[0]
     blocks = 1
-    if _blas_threads() == 1 and not any(p.requires_grad for p in params.parameters()):
+    if _threads() > 1 and not any(p.requires_grad for p in params.parameters()):
         blocks = max(1, n // POINT_BLOCK)
     if blocks == 1:
         density, point_feats = _point_stream(scene, params, clip, slice(None))
@@ -251,7 +245,7 @@ def forward_encoded(scene: EncodedScene, params: EmbeddingParams,
             point_feats[rows] = block_feats.data
 
         edges = [n * i // blocks for i in range(blocks + 1)]
-        with ThreadPoolExecutor(_workers(blocks)) as pool:
+        with ThreadPoolExecutor(min(blocks, _threads())) as pool:
             list(pool.map(run_block, map(slice, edges[:-1], edges[1:])))
         density, point_feats = nn.Tensor(density), nn.Tensor(point_feats)
     voxel_feats = params._mlp2(nn.Tensor(scene.center_feats), "voxel_mlp")
@@ -387,7 +381,7 @@ def train(
         loss = scene_loss(scenes[idx], params, clip, class_weights) * scale
         return loss, loss.backward() if np.isfinite(loss.data) else None
 
-    with ThreadPoolExecutor(_workers(hyper.batch_size)) as pool:
+    with ThreadPoolExecutor(min(hyper.batch_size, _threads())) as pool:
         for epoch in range(hyper.epochs):
             optimizer.lr = nn.lr_schedule(epoch, hyper.base_lr, hyper.lr_decay)
             order = rng.permutation(len(scenes))

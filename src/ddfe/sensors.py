@@ -19,13 +19,37 @@ from .io import check_cloud, parse_key_values, read_ascii
 
 TWO_PI = 2.0 * math.pi
 
+# Least spacing of a sensor's vertical beams.  |phi - elevation| for angles in
+# [-90, 90] degrees rounds by less than 3e-14 degrees, so no point is equally
+# near two beams this far apart: augment.nearest_beam needs no tie rule.
+MIN_BEAM_SPACING_DEG = 1e-9
+
+
+@dataclass(frozen=True)
+class ProjectionParams:
+    """The one spherical projection image every sensor's density is read from.
+
+    512 x 5120 pixels over [-30, +15] degrees elevation: fixed, so densities
+    are comparable across sensors, and wide enough to hold every supported
+    sensor's beams.
+    """
+
+    height = 512
+    width = 5120
+    proj_fov_min_deg = -30.0
+    proj_fov_max_deg = 15.0
+    proj_fov_min_rad = math.radians(proj_fov_min_deg)
+    proj_fov_max_rad = math.radians(proj_fov_max_deg)
+
 
 @dataclass(frozen=True)
 class SensorConfig:
     """Beam counts and vertical field of view of one LiDAR sensor.
 
     Both field-of-view bounds lie in [-90, 90] degrees, the lower one below
-    the upper.
+    the upper.  The beams fit the projection image's columns and rows, and
+    vertical beams lie MIN_BEAM_SPACING_DEG or more apart: code that reads
+    the beam grid relies on these rules.
     """
 
     name: str
@@ -49,6 +73,18 @@ class SensorConfig:
                 f"fov_min_deg ({self.fov_min_deg}) must be below "
                 f"fov_max_deg ({self.fov_max_deg})"
             )
+        image = ProjectionParams()
+        for axis, count, size, unit in (("horizontal", self.h_beams, image.width, "columns"),
+                                        ("vertical", self.v_beams, image.height, "rows")):
+            if count > size:
+                raise ValueError(
+                    f"sensor {self.name!r} has {count} {axis} beams, more than "
+                    f"the projection image's {size} {unit}")
+        spacing = (self.fov_max_deg - self.fov_min_deg) / self.v_beams
+        if self.v_beams > 1 and spacing < MIN_BEAM_SPACING_DEG:
+            raise ValueError(
+                f"sensor {self.name!r} has vertical beams {spacing} degrees apart, "
+                f"closer than the {MIN_BEAM_SPACING_DEG} degree minimum")
 
 
 # Production sensor presets (beam counts and vertical FOV per dataset sensor).
@@ -69,23 +105,6 @@ def get_preset(name: str) -> SensorConfig:
             f"unknown sensor preset {name!r}; known presets: "
             + ", ".join(sorted(PRESETS))
         ) from None
-
-
-@dataclass(frozen=True)
-class ProjectionParams:
-    """The one spherical projection image every sensor's density is read from.
-
-    512 x 5120 pixels over [-30, +15] degrees elevation: fixed, so densities
-    are comparable across sensors, and wide enough to hold every supported
-    sensor's beams.
-    """
-
-    height = 512
-    width = 5120
-    proj_fov_min_deg = -30.0
-    proj_fov_max_deg = 15.0
-    proj_fov_min_rad = math.radians(proj_fov_min_deg)
-    proj_fov_max_rad = math.radians(proj_fov_max_deg)
 
 
 @dataclass(frozen=True)

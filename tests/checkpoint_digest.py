@@ -12,9 +12,11 @@ waymo scan and both `forward_encoded` feature arrays on it (an argmax can
 hide a last-bit change in the features), `density_for_cloud` on one
 simulated scan per sensor preset, and `enhanced_mix3d` -> `random_keep_set`
 -> `beam_sample` on the first two training scans under `default_rng(0)`,
-and `nearest_beam` on each preset's
-`beam_edge_cloud` (tests/conftest.py: points at every beam elevation, every
-midpoint between beams, the FOV edges and +-89 degrees).  A change that
+and `nearest_beam` on `beam_edge_cloud` (tests/conftest.py: points at every
+beam elevation, every midpoint between beams, the FOV edges and +-89
+degrees) for each preset and for the closest grids `SensorConfig` accepts:
+2, 64 and 128 beams at once and twice the 1e-9 degree spacing floor, from
+-89, 0 and just below +89 degrees.  A change that
 claims to keep training, evaluation, prediction, the feature report, density
 or augmentation bit-identical must print the same digest as its base commit:
 
@@ -36,7 +38,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from conftest import beam_edge_cloud  # noqa: E402
+from conftest import beam_edge_cloud, spaced_fov  # noqa: E402
 from ddfe.augment import (  # noqa: E402
     AugmentConfig,
     beam_sample,
@@ -66,6 +68,9 @@ from ddfe.simulate import make_dataset  # noqa: E402
 
 SIM64 = SensorConfig("sim64", 512, 64, -25.0, 3.0)
 SIM32 = SensorConfig("sim32", 512, 32, -25.0, 3.0)
+# sensors.MIN_BEAM_SPACING_DEG, written out so that trees without the
+# constant print the same digest.
+SPACING_FLOOR_DEG = 1e-9
 RUNS = (
     {},
     {"use_clip": False},
@@ -109,6 +114,13 @@ def checkpoint_digest() -> str:
         edges = beam_edge_cloud(beam_inclinations(sensor)[1],
                                 (sensor.fov_min_deg, sensor.fov_max_deg))
         digest.update(nearest_beam(edges, sensor).tobytes())
+    for v_beams in (2, 64, 128):
+        for fov_min_deg in (-89.0, 0.0, 88.9999997):
+            for factor in (1, 2):
+                fov = spaced_fov(v_beams, fov_min_deg, factor * SPACING_FLOOR_DEG)
+                sensor = SensorConfig("floor", 16, v_beams, *fov)
+                edges = beam_edge_cloud(beam_inclinations(sensor)[1], fov)
+                digest.update(nearest_beam(edges, sensor).tobytes())
     return digest.hexdigest()
 
 

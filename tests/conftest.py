@@ -32,3 +32,13 @@ def beam_edge_cloud(elevation_deg: np.ndarray, fov_deg: tuple[float, float]) -> 
     x, z = np.broadcast_arrays(x[:, None, None] + steps[:, None] * np.spacing(x)[:, None, None],
                                z[:, None, None] + steps * np.spacing(z)[:, None, None])
     return np.stack([x.ravel(), np.zeros(x.size), z.ravel()], axis=1)
+
+
+def spaced_fov(v_beams: int, fov_min_deg: float, spacing_deg: float) -> tuple[float, float]:
+    """The field of view from fov_min_deg up whose v_beams vertical beams lie
+    spacing_deg apart, as SensorConfig computes the spacing: the least
+    fov_max_deg with (fov_max_deg - fov_min_deg) / v_beams >= spacing_deg."""
+    fov_max_deg = fov_min_deg + spacing_deg * v_beams
+    while (fov_max_deg - fov_min_deg) / v_beams < spacing_deg:
+        fov_max_deg = np.nextafter(fov_max_deg, np.inf)
+    return fov_min_deg, float(fov_max_deg)

@@ -3,8 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import beam_edge_cloud
-from hypothesis import example, given, settings
+from conftest import beam_edge_cloud, spaced_fov
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ddfe.augment import (
@@ -18,6 +18,7 @@ from ddfe.augment import (
 )
 from ddfe.beams import band_center_density, beam_profile
 from ddfe.sensors import (
+    MIN_BEAM_SPACING_DEG,
     PRESETS,
     ProjectionParams,
     SensorConfig,
@@ -69,14 +70,25 @@ def _argmin_beam(cloud, config):
     return np.argmin(np.abs(phi_deg[:, None] - elevation_deg[None, :]), axis=1)
 
 
-_FOV = st.lists(st.floats(-90.0, 90.0), min_size=2, max_size=2, unique=True).map(sorted)
+@st.composite
+def _beam_grids(draw):
+    """A vertical beam count and a field of view that SensorConfig accepts:
+    bounds anywhere in [-90, 90], or beams 1-4 times the spacing floor apart."""
+    v_beams = draw(st.integers(1, 128))
+    if draw(st.booleans()):
+        return v_beams, spaced_fov(v_beams, draw(st.floats(-90.0, 89.9999)),
+                                   draw(st.floats(1.0, 4.0)) * MIN_BEAM_SPACING_DEG)
+    fov = sorted(draw(st.lists(st.floats(-90.0, 90.0), min_size=2, max_size=2, unique=True)))
+    assume(v_beams == 1 or (fov[1] - fov[0]) / v_beams >= MIN_BEAM_SPACING_DEG)
+    return v_beams, fov
 
 
 @settings(max_examples=200, deadline=None)
-@given(v_beams=st.integers(1, 128), fov=_FOV)
-@example(v_beams=64, fov=[-24.8, 2.0])        # semantickitti
-@example(v_beams=128, fov=[0.0, 5e-324])     # beams float64 cannot tell apart
-def test_nearest_beam_is_argmin_bytewise(v_beams, fov):
+@given(grid=_beam_grids())
+@example(grid=(64, [-24.8, 2.0]))        # semantickitti
+@example(grid=(128, spaced_fov(128, 88.9999998, MIN_BEAM_SPACING_DEG)))  # the floor near +89
+def test_nearest_beam_is_argmin_bytewise(grid):
+    v_beams, fov = grid
     config = SensorConfig("s", 16, v_beams, *fov)
     cloud = beam_edge_cloud(beam_inclinations(config)[1], fov)
     assert nearest_beam(cloud, config).tobytes() == _argmin_beam(cloud, config).tobytes()

@@ -68,7 +68,7 @@ def test_horizontal_beams_beyond_the_image_width_are_rejected():
     with pytest.raises(ValueError, match=(
             r"sensor 'wide' has 5121 horizontal beams, more than the projection "
             r"image's 5120 columns")):
-        beam_profile(SensorConfig("wide", PP.width + 1, 32, -25.0, 3.0), PP)
+        SensorConfig("wide", PP.width + 1, 32, -25.0, 3.0)
 
 
 def test_beams_on_the_image_band_edges_are_kept():

@@ -235,6 +235,29 @@ def test_sensor_file_with_an_infinite_fov_bound_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field,count,limit", [("h_beams", 10**8, "5120 columns"),
+                                               ("v_beams", 10**11, "512 rows")])
+@pytest.mark.parametrize("command", ["simulate", "density"])
+def test_huge_beam_count_exits_2_without_a_traceback(tmp_path, command, field, count, limit):
+    sensor = tmp_path / "huge.cfg"
+    sensor.write_text(_sensor_text("huge", 16).replace(
+        "h_beams = 128" if field == "h_beams" else "v_beams = 16", f"{field} = {count}"))
+    scan = tmp_path / "one.bin"
+    dio.write_scan(np.array([[5.0, 1.0, -1.0]]), scan)
+    out = tmp_path / "out"
+    args = {"simulate": ["--scenes", "1"], "density": ["--input", str(scan)]}[command]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "ddfe", command, "--sensor", str(sensor),
+                           *args, "--out", str(out)],
+                          capture_output=True, text=True, env=env, check=False)
+    axis = "horizontal" if field == "h_beams" else "vertical"
+    assert proc.returncode == 2
+    assert (f"data error: sensor 'huge' has {count} {axis} beams, more than the "
+            f"projection image's {limit}") in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "stats", "augment", "train"])
 def test_negative_seed_exits_1_before_any_output(tmp_path, capsys, command):
     out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import functools
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -161,7 +162,7 @@ def _constant_params(**kwargs):
 
 
 def _set_blas_threads(monkeypatch, value):
-    """The BLAS thread variables as `_blas_threads` reads them: one set, or none."""
+    """The BLAS thread variables as `_threads` reads them: one set, or none."""
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     if value is not None:
@@ -454,6 +455,28 @@ def test_train_is_one_tape_per_batch_on_any_worker_count(monkeypatch, batch_size
     assert list(got) == list(want)
     for name in want:
         assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_pools_are_per_call_so_a_forked_child_finishes(monkeypatch):
+    # A pool kept for the whole process would hand a forked child its
+    # queue but not its threads, and the child would wait on it forever.
+    _set_blas_threads(monkeypatch, "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    scene = _block_scene(2 * embedding.POINT_BLOCK)
+
+    def train_and_predict():
+        model = train(_TRAIN_DATA, SIM, TrainConfig(epochs=1, batch_size=2, seed=0))
+        point_predictions(scene, model)
+
+    train_and_predict()
+    child = multiprocessing.get_context("fork").Process(target=train_and_predict)
+    child.start()
+    try:
+        child.join(timeout=60)
+        assert child.exitcode == 0
+    finally:
+        child.kill()
+        child.join()
 
 
 _UNTRAINED = Model(EmbeddingConfig(), _params(), None)

@@ -61,6 +61,35 @@ def test_fov_bounds_must_be_finite_angles(tmp_path, field, bound):
         load_sensor_config(path)
 
 
+_CLOSER = "degrees apart, closer than the 1e-09 degree minimum"
+
+
+# each beam-grid rule at its limit and just past it; message None: accepted
+@pytest.mark.parametrize("h_beams,v_beams,fov,message", [
+    (5120, 64, (-25.0, 3.0), None),
+    (5121, 64, (-25.0, 3.0),
+     "has 5121 horizontal beams, more than the projection image's 5120 columns"),
+    (512, 512, (-25.0, 3.0), None),
+    (512, 513, (-25.0, 3.0), "has 513 vertical beams, more than the projection image's 512 rows"),
+    (512, 2, (0.0, 2e-9), None),
+    (512, 2, (0.0, 1.9999999999999997e-09), f"has vertical beams 9.999999999999999e-10 {_CLOSER}"),
+    (512, 128, (0.0, 5e-324), f"has vertical beams 0.0 {_CLOSER}"),
+    (512, 1, (0.0, 5e-324), None),
+])
+def test_beam_grid_rules(tmp_path, h_beams, v_beams, fov, message):
+    path = tmp_path / "grid.cfg"
+    path.write_text(f"name = grid\nh_beams = {h_beams}\nv_beams = {v_beams}\n"
+                    f"fov_min_deg = {fov[0]!r}\nfov_max_deg = {fov[1]!r}\n")
+    if message is None:
+        assert load_sensor_config(path) == SensorConfig("grid", h_beams, v_beams, *fov)
+        return
+    message = re.escape(f"sensor 'grid' {message}")
+    with pytest.raises(ValueError, match=message):
+        SensorConfig("grid", h_beams, v_beams, *fov)
+    with pytest.raises(ValueError, match=message):
+        load_sensor_config(path)
+
+
 def test_fov_bounds_may_reach_the_poles():
     _, elevation_deg = beam_inclinations(SensorConfig("full", 64, 64, -90.0, 90.0))
     assert np.isfinite(elevation_deg).all() and elevation_deg[-1] == 90.0
