@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import LABEL_LIMIT, check_labels
-from .sensors import SensorConfig, beam_inclinations, spherical_of_cloud
+from .io import LABEL_LIMIT, check_cloud, check_labels
+from .parallel import ROW_BLOCK, run_blocks
+from .sensors import SensorConfig, beam_inclinations, elevation_range_of_cloud
 
 @dataclass
 class AugmentConfig:
@@ -35,17 +36,26 @@ def nearest_beam(cloud: np.ndarray, config: SensorConfig) -> np.ndarray:
     Raw scans carry no beam ids, so each point's beam is recovered from the
     inclination grid.  A point exactly midway between two beams goes to the
     lower one (np.argmin's first-index rule, bit for bit), and a point
-    outside the field of view goes to the edge beam on its side.
+    outside the field of view goes to the edge beam on its side.  A
+    non-finite point, then a zero-length one, names its index.  Runs in row
+    blocks (parallel.run_blocks), each writing its rows in place.
     """
-    _, phi, _ = spherical_of_cloud(cloud)
+    cloud = check_cloud(cloud)
     _, elevation_deg = beam_inclinations(config)
-    phi_deg = np.degrees(phi)
-    # An ascending grid, no two beams tied (SensorConfig): the nearest is lo or hi.
-    hi = np.searchsorted(elevation_deg, phi_deg)
-    np.clip(hi, 0, config.v_beams - 1, out=hi)
-    lo = np.maximum(hi - 1, 0)
-    gap_lo = np.abs(phi_deg - elevation_deg[lo])
-    return np.where(gap_lo <= np.abs(phi_deg - elevation_deg[hi]), lo, hi)
+    out = np.empty(cloud.shape[0], dtype=np.int64)
+
+    def fill(rows):
+        phi, _ = elevation_range_of_cloud(cloud[rows], rows.start)
+        phi_deg = np.degrees(phi, out=phi)
+        # An ascending grid, no two beams tied (SensorConfig): the nearest is lo or hi.
+        hi = np.searchsorted(elevation_deg, phi_deg)
+        np.clip(hi, 0, config.v_beams - 1, out=hi)
+        lo = np.maximum(hi - 1, 0)
+        gap_lo = np.abs(phi_deg - elevation_deg[lo])
+        out[rows] = np.where(gap_lo <= np.abs(phi_deg - elevation_deg[hi]), lo, hi)
+
+    run_blocks(cloud.shape[0], ROW_BLOCK, fill)
+    return out
 
 
 def beam_sample(

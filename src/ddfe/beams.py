@@ -14,14 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io import check_cloud
+from .parallel import ROW_BLOCK, run_blocks
 from .sensors import (
     ProjectionParams,
     SensorConfig,
     SphericalCoords,
+    azimuth_of_cloud,
     beam_inclinations,
+    elevation_range_of_cloud,
     project_cols,
     project_rows,
-    spherical_of_cloud,
 )
 
 DEFAULT_SIGMAS = (10.0, 30.0, 50.0, 70.0)  # pixels of the projected image
@@ -32,7 +35,8 @@ class BeamProfile:
     """Gaussian-smoothed beam indicator vectors of one sensor.
 
     smooth_h / smooth_v hold one row per DEFAULT_SIGMAS scale, ascending
-    sigma, each as long as its projected image axis.
+    sigma, each as long as its projected image axis.  smooth_profile stores
+    them in Fortran order, so one pixel's scales lie side by side.
     """
 
     smooth_h: np.ndarray
@@ -115,8 +119,8 @@ def smooth_profile(raw_h: np.ndarray, raw_v: np.ndarray) -> BeamProfile:
     """
     raw_h = np.asarray(raw_h, dtype=np.float64)
     raw_v = np.asarray(raw_v, dtype=np.float64)
-    smooth_h = np.empty((len(DEFAULT_SIGMAS), raw_h.size))
-    smooth_v = np.empty((len(DEFAULT_SIGMAS), raw_v.size))
+    smooth_h = np.empty((len(DEFAULT_SIGMAS), raw_h.size), order="F")
+    smooth_v = np.empty((len(DEFAULT_SIGMAS), raw_v.size), order="F")
     for k, sigma in enumerate(DEFAULT_SIGMAS):
         kernel = gaussian_kernel(sigma)
         smooth_h[k] = _convolve_circular(raw_h, kernel)
@@ -131,18 +135,23 @@ def beam_profile(config: SensorConfig, params: ProjectionParams | None = None) -
     return smooth_profile(raw_h, raw_v)
 
 
-def _density(profile: BeamProfile, theta, phi, r, params: ProjectionParams) -> np.ndarray:
-    """sqrt(Bh * Bv) / r per scale, one row per DEFAULT_SIGMAS scale."""
-    cols = project_cols(theta, params)
-    rows = project_rows(phi, params)
-    return np.sqrt(profile.smooth_h[:, cols] * profile.smooth_v[:, rows]) / r
+def _density(profile: BeamProfile, theta, phi, r, params: ProjectionParams,
+             out: np.ndarray) -> np.ndarray:
+    """sqrt(Bh * Bv) / r of n points into out, (n, C): one column per scale."""
+    np.take(profile.smooth_h.T, project_cols(theta, params), axis=0, out=out, mode="clip")
+    out *= profile.smooth_v.T[project_rows(phi, params)]
+    np.sqrt(out, out=out)
+    out /= r[:, None]
+    return out
 
 
 def point_density(
     profile: BeamProfile, coords: SphericalCoords, params: ProjectionParams
 ) -> np.ndarray:
     """Multi-scale beam density of one point, one value per scale."""
-    return _density(profile, coords.azimuth, coords.elevation, coords.range, params)
+    out = np.empty((1, profile.smooth_h.shape[0]))
+    return _density(profile, np.array([coords.azimuth]), np.array([coords.elevation]),
+                    np.array([coords.range]), params, out)[0]
 
 
 def density_for_cloud(
@@ -150,9 +159,20 @@ def density_for_cloud(
 ) -> np.ndarray:
     """Per-point density embedding of an (N, 3) cloud, shape (N, len(DEFAULT_SIGMAS)).
 
-    Row order follows the cloud; a non-finite or zero-length point names its index.
+    Row order follows the cloud; a non-finite point, then a zero-length one,
+    names its index.  Runs in row blocks (parallel.run_blocks), each writing
+    its rows in place.
     """
-    return _density(profile, *spherical_of_cloud(cloud), params).T
+    cloud = check_cloud(cloud)
+    out = np.empty((cloud.shape[0], profile.smooth_h.shape[0]))
+
+    def fill(rows):
+        block = cloud[rows]
+        phi, r = elevation_range_of_cloud(block, rows.start)
+        _density(profile, azimuth_of_cloud(block), phi, r, params, out[rows])
+
+    run_blocks(cloud.shape[0], ROW_BLOCK, fill)
+    return out
 
 
 def band_center_density(

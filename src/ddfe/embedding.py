@@ -11,9 +11,7 @@ trained and scored end to end at desk scale.
 
 from __future__ import annotations
 
-import os
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -21,6 +19,7 @@ import numpy as np
 from . import nn
 from .beams import DEFAULT_SIGMAS, BeamProfile, beam_profile, density_for_cloud
 from .io import LABEL_LIMIT, check_labels, parse_key_values, read_ascii
+from .parallel import run_blocks, thread_pool, threads
 from .sensors import ProjectionParams, SensorConfig, spherical_of_cloud
 from .stats import ClipParams, DensityReservoir, fit_clip, soft_clip
 from .voxels import VoxelGrid, check_voxel_size, majority_label, voxel_offsets, voxelize
@@ -117,17 +116,6 @@ class EncodedScene:
     voxel_labels: np.ndarray | None = None
 
 
-def _threads() -> int:
-    """Threads for parallel jobs: the cores where BLAS runs on one thread (as
-    OpenBLAS reads the first of these variables that holds a positive count),
-    else one.  Multi-threaded BLAS calls from two threads at once are slower."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return len(os.sched_getaffinity(0)) if int(value) == 1 else 1
-    return 1
-
-
 def _center_features(centers: np.ndarray) -> np.ndarray:
     """Voxel centers as (cos az, sin az, elevation, range/25)."""
     theta, phi, r = spherical_of_cloud(centers)
@@ -144,8 +132,9 @@ def encode_scene(
 ) -> EncodedScene:
     """Voxel grid, center features, offsets and density of one cloud.
 
-    Where BLAS runs on one thread, the density is computed on a second
-    thread while this one voxelizes the cloud; otherwise after it.  Either
+    Where parallel.threads() is above one, the density is computed on a
+    second thread, as one block, while this one voxelizes the cloud;
+    otherwise after it.  Either
     way voxelize's result comes first, so a non-finite point is named by
     voxelize before an origin point is named by the density.
     """
@@ -155,11 +144,11 @@ def encode_scene(
         grid = voxelize(cloud, voxel_size)
         return grid, _center_features(grid.centers), voxel_offsets(grid, cloud)
 
-    if use_density and _threads() > 1:
+    if use_density and threads() > 1:
         # A scene's arrays are made on this thread: left in a pool thread's
         # malloc arena for the scene's lifetime, they raised training's peak
         # RSS by 2-4 %.  So voxelize runs here and the density is copied here.
-        with ThreadPoolExecutor(1) as pool:
+        with thread_pool(1) as pool:
             density_job = pool.submit(density_for_cloud, profile, cloud, proj)
             grid, center_feats, offsets = geometry()
             density_raw = density_job.result().copy(order="K")
@@ -224,18 +213,15 @@ def forward_encoded(scene: EncodedScene, params: EmbeddingParams,
     gate sees each point's clipped density and the voxel gate the mean
     clipped density of its points.
 
-    On constant parameters, if _threads() is above one, the point stream runs
-    in blocks of at least POINT_BLOCK rows on parallel threads, each writing
-    its rows in place.  A block's GEMMs give the same bits as the same rows
-    of the whole product, so the result does too.
+    On constant parameters, the point stream runs in row blocks
+    (parallel.run_blocks), each writing its rows in place.  A block's GEMMs
+    give the same bits as the same rows of the whole product, so the result
+    does too.  With a tape, or on one thread, it runs as one block.
     """
-    n = scene.offsets.shape[0]
-    blocks = 1
-    if _threads() > 1 and not any(p.requires_grad for p in params.parameters()):
-        blocks = max(1, n // POINT_BLOCK)
-    if blocks == 1:
+    if threads() == 1 or any(p.requires_grad for p in params.parameters()):
         density, point_feats = _point_stream(scene, params, clip, slice(None))
     else:
+        n = scene.offsets.shape[0]
         density = np.empty((n, len(DEFAULT_SIGMAS)))
         point_feats = np.empty((n, POINT_CHANNELS))
 
@@ -244,9 +230,7 @@ def forward_encoded(scene: EncodedScene, params: EmbeddingParams,
             density[rows] = block_density.data
             point_feats[rows] = block_feats.data
 
-        edges = [n * i // blocks for i in range(blocks + 1)]
-        with ThreadPoolExecutor(min(blocks, _threads())) as pool:
-            list(pool.map(run_block, map(slice, edges[:-1], edges[1:])))
+        run_blocks(n, POINT_BLOCK, run_block)
         density, point_feats = nn.Tensor(density), nn.Tensor(point_feats)
     voxel_feats = params._mlp2(nn.Tensor(scene.center_feats), "voxel_mlp")
     if params.config.use_attention:
@@ -381,7 +365,7 @@ def train(
         loss = scene_loss(scenes[idx], params, clip, class_weights) * scale
         return loss, loss.backward() if np.isfinite(loss.data) else None
 
-    with ThreadPoolExecutor(min(hyper.batch_size, _threads())) as pool:
+    with thread_pool(min(hyper.batch_size, threads())) as pool:
         for epoch in range(hyper.epochs):
             optimizer.lr = nn.lr_schedule(epoch, hyper.base_lr, hyper.lr_decay)
             order = rng.permutation(len(scenes))

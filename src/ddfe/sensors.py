@@ -143,15 +143,39 @@ def spherical_of_cloud(cloud: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     a non-finite or zero-length point, naming its index (io.check_cloud).
     """
     cloud = check_cloud(cloud)
-    r = np.linalg.norm(cloud, axis=1)
+    phi, r = elevation_range_of_cloud(cloud)
+    return azimuth_of_cloud(cloud), phi, r
+
+
+def azimuth_of_cloud(cloud: np.ndarray) -> np.ndarray:
+    """Azimuth in [0, 2*pi) of each point of an (N, 3) float64 cloud."""
+    return np.arctan2(cloud[:, 1], cloud[:, 0]) % TWO_PI
+
+
+def elevation_range_of_cloud(cloud: np.ndarray, first: int = 0
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """Elevation (radians) and range of each point of an (N, 3) float64 cloud
+    that io.check_cloud accepts.  A zero-length point raises, naming its index
+    plus `first`, the cloud's offset in a larger one.
+
+    The range is the np.linalg.norm(cloud, axis=1) sum, (x*x + y*y) + z*z, in
+    one buffer.
+    """
+    x, y, z = cloud[:, 0], cloud[:, 1], cloud[:, 2]
+    r = x * x
+    square = y * y
+    r += square
+    np.multiply(z, z, out=square)
+    r += square
+    np.sqrt(r, out=r)
     bad = np.flatnonzero(r == 0.0)
     if bad.size:
         raise ValueError(
-            f"degenerate point at sensor origin (point index {bad[0]})"
+            f"degenerate point at sensor origin (point index {first + bad[0]})"
         )
-    theta = np.arctan2(cloud[:, 1], cloud[:, 0]) % TWO_PI
-    phi = np.arcsin(np.clip(cloud[:, 2] / r, -1.0, 1.0))
-    return theta, phi, r
+    phi = np.divide(z, r, out=square)
+    np.clip(phi, -1.0, 1.0, out=phi)
+    return np.arcsin(phi, out=phi), r
 
 
 def project_cols(theta, params: ProjectionParams):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beams import DEFAULT_SIGMAS
+from .parallel import run_blocks
 
 RESERVOIR_CAPACITY = 1000
 HALF_SPAN_FLOOR = 1e-8  # guards the division when P90 == P10
@@ -24,9 +25,10 @@ class DensityReservoir:
     """Fixed-capacity uniform sample of each density channel's stream.
 
     Channels see the same rows, so one `seen` count serves all; each draws
-    its slots from its own RNG.  Every element ends up in its channel's row
-    with probability capacity/n after n elements.  Deterministic for a fixed
-    seed and update sequence.
+    its slots from its own RNG, so `update` draws the channels side by side
+    (parallel.run_blocks, one block per channel).  Every element ends up in
+    its channel's row with probability capacity/n after n elements.
+    Deterministic for a fixed seed and update sequence.
     """
 
     def __init__(self, num_channels: int = len(DEFAULT_SIGMAS),
@@ -62,10 +64,17 @@ class DensityReservoir:
             # Algorithm R: element at stream position t replaces a uniform
             # slot with probability cap/t.
             positions = np.arange(n + fill + 1, n + len(values) + 1)
-            for c, rng in enumerate(self._rngs):
-                slots = rng.integers(0, positions)
-                for i in np.flatnonzero(slots < cap):
-                    self.samples[c, slots[i]] = rest[i, c]
+
+            def draw(channels):
+                for c in range(channels.start, channels.stop):
+                    slots = self._rngs[c].integers(0, positions)
+                    # A slot drawn twice keeps the later element: with the hits
+                    # reversed, np.unique's first occurrence is the last hit.
+                    hits = np.flatnonzero(slots < cap)[::-1]
+                    slot, last = np.unique(slots[hits], return_index=True)
+                    self.samples[c, slot] = rest[hits[last], c]
+
+            run_blocks(self.num_channels, 1, draw)
         self.seen = n + len(values)
 
     def percentile(self, p: float) -> np.ndarray:

@@ -16,7 +16,10 @@ and `nearest_beam` on `beam_edge_cloud` (tests/conftest.py: points at every
 beam elevation, every midpoint between beams, the FOV edges and +-89
 degrees) for each preset and for the closest grids `SensorConfig` accepts:
 2, 64 and 128 beams at once and twice the 1e-9 degree spacing floor, from
--89, 0 and just below +89 degrees.  A change that
+-89, 0 and just below +89 degrees.  Last come `density_for_cloud`,
+`nearest_beam` and a `DensityReservoir`'s samples after two updates, on
+`mixed_scan` (tests/conftest.py: two semantickitti scans mixed, 223,809
+points, so every job that splits rows into blocks runs many).  A change that
 claims to keep training, evaluation, prediction, the feature report, density
 or augmentation bit-identical must print the same digest as its base commit:
 
@@ -38,7 +41,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from conftest import beam_edge_cloud, spaced_fov  # noqa: E402
+from conftest import beam_edge_cloud, mixed_scan, spaced_fov  # noqa: E402
 from ddfe.augment import (  # noqa: E402
     AugmentConfig,
     beam_sample,
@@ -65,6 +68,7 @@ from ddfe.sensors import (  # noqa: E402
     beam_inclinations,
 )
 from ddfe.simulate import make_dataset  # noqa: E402
+from ddfe.stats import DensityReservoir  # noqa: E402
 
 SIM64 = SensorConfig("sim64", 512, 64, -25.0, 3.0)
 SIM32 = SensorConfig("sim32", 512, 32, -25.0, 3.0)
@@ -121,6 +125,13 @@ def checkpoint_digest() -> str:
                 sensor = SensorConfig("floor", 16, v_beams, *fov)
                 edges = beam_edge_cloud(beam_inclinations(sensor)[1], fov)
                 digest.update(nearest_beam(edges, sensor).tobytes())
+    kitti, cloud = PRESETS["semantickitti"], mixed_scan()
+    density = density_for_cloud(beam_profile(kitti, proj), cloud, proj)
+    reservoir = DensityReservoir(seed=0)
+    reservoir.update(density[:500])
+    reservoir.update(density[500:])
+    for array in (density, nearest_beam(cloud, kitti), reservoir.samples):
+        digest.update(array.tobytes())
     return digest.hexdigest()
 
 

@@ -1,4 +1,12 @@
-"""Shared geometric oracles for the test suite."""
+"""Shared geometric oracles, scenes and thread settings for the test suite.
+
+ddfe is imported inside the functions that use it: tests/checkpoint_digest.py
+imports this file against older source trees too, which lack some modules.
+"""
+
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -42,3 +50,43 @@ def spaced_fov(v_beams: int, fov_min_deg: float, spacing_deg: float) -> tuple[fl
     while (fov_max_deg - fov_min_deg) / v_beams < spacing_deg:
         fov_max_deg = np.nextafter(fov_max_deg, np.inf)
     return fov_min_deg, float(fov_max_deg)
+
+
+def set_blas_threads(monkeypatch, value):
+    """The BLAS thread variables as `ddfe.parallel.threads` reads them: one
+    set, or none.  None leaves one thread, so every row-block job runs as one
+    block; "1" gives one thread per core."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    if value is not None:
+        monkeypatch.setenv("OMP_NUM_THREADS", value)
+
+
+def recorded_pools(monkeypatch, cores):
+    """The worker count of each pool ddfe builds, on `cores` cores."""
+    from ddfe import parallel
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    workers = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers, initializer):
+            workers.append(max_workers)
+            super().__init__(max_workers, initializer=initializer)
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
+    return workers
+
+
+@functools.cache
+def mixed_scan() -> np.ndarray:
+    """Two simulated semantickitti scans (seed 3) mixed as enhanced_mix3d
+    mixes them under default_rng(0): 223,809 points, many row blocks."""
+    from ddfe.augment import AugmentConfig, enhanced_mix3d
+    from ddfe.sensors import PRESETS
+    from ddfe.simulate import make_dataset
+
+    first, second = make_dataset(2, PRESETS["semantickitti"], seed=3)
+    cloud, _ = enhanced_mix3d(first, second, AugmentConfig(), np.random.default_rng(0))
+    cloud.flags.writeable = False
+    return cloud

@@ -1,11 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from conftest import mixed_scan, recorded_pools, set_blas_threads
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ddfe.augment import nearest_beam
 from ddfe.beams import (
     DEFAULT_SIGMAS,
     band_center_density,
@@ -25,6 +28,7 @@ from ddfe.sensors import (
     get_preset,
     spherical_of_cloud,
 )
+from ddfe.parallel import ROW_BLOCK
 
 PP = ProjectionParams()
 PROFILES = {name: beam_profile(cfg, PP) for name, cfg in PRESETS.items()}
@@ -226,3 +230,60 @@ def test_density_for_cloud_names_offending_point():
     cloud = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="point index 1"):
         density_for_cloud(profile, cloud, PP)
+
+
+def _spread_cloud(n):
+    rng = np.random.default_rng(n)
+    return rng.uniform(-40.0, 40.0, size=(n, 3)) + np.array([0.5, 0.0, 0.0])
+
+
+# Two jobs on the prep path that run in row blocks, as each one's digest.
+_ROW_JOBS = {
+    "density_for_cloud": lambda cloud: density_for_cloud(
+        PROFILES["semantickitti"], cloud, PP).tobytes(),
+    "nearest_beam": lambda cloud: nearest_beam(cloud, PRESETS["semantickitti"]).tobytes(),
+}
+
+
+# (rows, blocks): just below and above the block floor, two uneven blocks,
+# and a mixed two-scan scene of 13 blocks on two and on eight cores
+@pytest.mark.parametrize("rows,blocks,cores", [
+    (ROW_BLOCK - 1, 1, 2),
+    (ROW_BLOCK + 1, 1, 2),
+    (2 * ROW_BLOCK + 1, 2, 2),
+    (None, 13, 2),
+    (None, 13, 8),
+])
+@pytest.mark.parametrize("job", sorted(_ROW_JOBS))
+def test_row_blocks_are_bitwise_one_block(monkeypatch, job, rows, blocks, cores):
+    cloud = mixed_scan() if rows is None else _spread_cloud(rows)
+    assert max(1, len(cloud) // ROW_BLOCK) == blocks
+    set_blas_threads(monkeypatch, None)
+    want = _ROW_JOBS[job](cloud)
+    set_blas_threads(monkeypatch, "1")
+    pools = recorded_pools(monkeypatch, cores)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # blocks switching often must each write their own rows
+    try:
+        got = _ROW_JOBS[job](cloud)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert pools == ([min(blocks, cores)] if blocks > 1 else [])
+
+
+@pytest.mark.parametrize("job", sorted(_ROW_JOBS))
+def test_row_blocks_name_the_first_bad_point_of_the_whole_cloud(monkeypatch, job):
+    set_blas_threads(monkeypatch, "1")
+    recorded_pools(monkeypatch, cores=2)
+    cloud = _spread_cloud(3 * ROW_BLOCK)
+    last = len(cloud) - 1
+    cloud[last - 5] = 0.0
+    with pytest.raises(ValueError, match=rf"sensor origin \(point index {last - 5}\)"):
+        _ROW_JOBS[job](cloud)
+    cloud[7] = 0.0
+    with pytest.raises(ValueError, match=r"sensor origin \(point index 7\)"):
+        _ROW_JOBS[job](cloud)
+    cloud[last, 2] = np.nan  # checked on the whole cloud before any block
+    with pytest.raises(ValueError, match=f"non-finite coordinates at point index {last}"):
+        _ROW_JOBS[job](cloud)

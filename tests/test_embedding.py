@@ -2,13 +2,13 @@ import functools
 import multiprocessing
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import recorded_pools, set_blas_threads
 
-from ddfe import embedding, nn
-from ddfe.beams import DEFAULT_SIGMAS, beam_profile
+from ddfe import embedding, nn, parallel
+from ddfe.beams import DEFAULT_SIGMAS, beam_profile, density_for_cloud
 from ddfe.embedding import (
     DENSITY_SCALE,
     EmbeddingConfig,
@@ -161,28 +161,6 @@ def _constant_params(**kwargs):
     return params
 
 
-def _set_blas_threads(monkeypatch, value):
-    """The BLAS thread variables as `_threads` reads them: one set, or none."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    if value is not None:
-        monkeypatch.setenv("OMP_NUM_THREADS", value)
-
-
-def _recorded_pools(monkeypatch, cores):
-    """The worker count of each pool `embedding` builds, on `cores` cores."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-    workers = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(embedding, "ThreadPoolExecutor", RecordingPool)
-    return workers
-
-
 def _recorded_blocks(monkeypatch):
     """The row slices forward_encoded hands to its point stream, in call order."""
     blocks = []
@@ -210,7 +188,7 @@ def test_blocked_forward_is_bitwise_the_reference_composition(
         monkeypatch, rows, expected_blocks, use_clip, use_attention):
     scene, clip = _block_scene(rows), _clip() if use_clip else None
     params = _constant_params(use_attention=use_attention)
-    pools = _recorded_pools(monkeypatch, cores=2)
+    pools = recorded_pools(monkeypatch, cores=2)
     blocks = _recorded_blocks(monkeypatch)
     got = forward_encoded(scene, params, clip)
     want = _reference_forward(scene, params, clip)
@@ -225,7 +203,7 @@ def test_blocked_forward_is_bitwise_the_reference_composition(
 def test_blocked_forward_on_more_threads_than_cores(monkeypatch):
     # eight blocks on eight threads, switching often: each must write its own rows
     scene, params = _block_scene(8 * embedding.POINT_BLOCK), _constant_params()
-    pools = _recorded_pools(monkeypatch, cores=8)
+    pools = recorded_pools(monkeypatch, cores=8)
     want = [w.data.tobytes() for w in _reference_forward(scene, params, _clip())]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -241,7 +219,7 @@ def test_blocked_forward_on_more_threads_than_cores(monkeypatch):
 @pytest.mark.parametrize("blas_threads,trainable", [(None, False), ("1", True)])
 def test_forward_is_one_block_unless_blas_runs_on_one_thread_and_no_tape(
         monkeypatch, blas_threads, trainable):
-    _set_blas_threads(monkeypatch, blas_threads)
+    set_blas_threads(monkeypatch, blas_threads)
     scene = _block_scene(None)
     params = _params(seed=4) if trainable else _constant_params()
     blocks = _recorded_blocks(monkeypatch)
@@ -254,7 +232,7 @@ def test_forward_is_one_block_unless_blas_runs_on_one_thread_and_no_tape(
 @pytest.mark.parametrize("blas_threads", [None, "1"])
 def test_encode_scene_names_the_first_bad_point_as_voxelize_then_density(
         monkeypatch, profile, blas_threads):
-    _set_blas_threads(monkeypatch, blas_threads)
+    set_blas_threads(monkeypatch, blas_threads)
     cloud = _box_cloud(50, 0)
     cloud[7] = 0.0
     with pytest.raises(ValueError, match=r"sensor origin \(point index 7\)"):
@@ -262,6 +240,17 @@ def test_encode_scene_names_the_first_bad_point_as_voxelize_then_density(
     cloud[30, 1] = np.nan  # voxelize names it, though the density meets the origin first
     with pytest.raises(ValueError, match="non-finite coordinates at point index 30"):
         encode_scene(cloud, profile, PROJ, 0.2)
+
+
+def test_encode_scene_runs_the_density_beside_voxelize_as_one_block(monkeypatch, profile):
+    # Its one worker would split a density of three blocks over a second pool.
+    set_blas_threads(monkeypatch, "1")
+    pools = recorded_pools(monkeypatch, cores=2)
+    cloud = _box_cloud(3 * parallel.ROW_BLOCK, 5)
+    scene = encode_scene(cloud, profile, PROJ, 0.2)
+    assert pools == [1]
+    assert scene.density_raw.tobytes() == density_for_cloud(profile, cloud, PROJ).tobytes()
+    assert pools == [1, 2]
 
 
 def test_gates_keep_feature_magnitudes(small_scene):
@@ -443,14 +432,15 @@ def _one_tape_checkpoint(batch_size: int) -> dict[str, np.ndarray]:
 @pytest.mark.parametrize("batch_size", [1, 2, 3])
 @pytest.mark.parametrize("blas_threads", [None, "1"])
 def test_train_is_one_tape_per_batch_on_any_worker_count(monkeypatch, batch_size, blas_threads):
-    _set_blas_threads(monkeypatch, blas_threads)
-    workers = _recorded_pools(monkeypatch, cores=2)
+    set_blas_threads(monkeypatch, blas_threads)
+    workers = recorded_pools(monkeypatch, cores=2)
     model = train(_TRAIN_DATA, SIM, TrainConfig(epochs=2, batch_size=batch_size, seed=0))
     # Threads only where BLAS runs on one: as each scene is encoded, one
-    # worker for its density beside voxelize; then train's, one worker per
-    # core up to the batch.
-    encode_pools = [1] * len(_TRAIN_DATA) if blas_threads else []
-    assert workers == encode_pools + [min(batch_size, 2) if blas_threads else 1]
+    # worker for its density beside voxelize; as the reservoir takes each
+    # scene, one worker per core for its channels; then train's, one worker
+    # per core up to the batch.
+    scene_pools = [1] * len(_TRAIN_DATA) + [2] * len(_TRAIN_DATA) if blas_threads else []
+    assert workers == scene_pools + [min(batch_size, 2) if blas_threads else 1]
     got, want = checkpoint_tensors(model), _one_tape_checkpoint(batch_size)
     assert list(got) == list(want)
     for name in want:
@@ -460,13 +450,15 @@ def test_train_is_one_tape_per_batch_on_any_worker_count(monkeypatch, batch_size
 def test_pools_are_per_call_so_a_forked_child_finishes(monkeypatch):
     # A pool kept for the whole process would hand a forked child its
     # queue but not its threads, and the child would wait on it forever.
-    _set_blas_threads(monkeypatch, "1")
+    set_blas_threads(monkeypatch, "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     scene = _block_scene(2 * embedding.POINT_BLOCK)
+    cloud = _box_cloud(2 * parallel.ROW_BLOCK, 6)
 
     def train_and_predict():
         model = train(_TRAIN_DATA, SIM, TrainConfig(epochs=1, batch_size=2, seed=0))
         point_predictions(scene, model)
+        DensityReservoir().update(density_for_cloud(beam_profile(SIM, PROJ), cloud, PROJ))
 
     train_and_predict()
     child = multiprocessing.get_context("fork").Process(target=train_and_predict)

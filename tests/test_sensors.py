@@ -4,6 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ddfe.sensors import (
     PRESETS,
@@ -136,6 +139,25 @@ def test_to_spherical_345_triangle():
 def test_to_spherical_origin_rejected():
     with pytest.raises(ValueError, match=r"origin \(point index 0\)"):
         spherical_of_cloud([[0.0, 0.0, 0.0]])
+
+
+_COORDINATES = st.one_of(st.floats(-1e150, 1e150), st.floats(-1e-150, 1e-150),
+                         st.sampled_from([0.0, -0.0, 5e-324, 1.0, -1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cloud=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)),
+                        elements=_COORDINATES),
+       fortran=st.booleans())
+def test_spherical_range_and_elevation_are_the_norm_formula_bytewise(cloud, fortran):
+    # elevation_range_of_cloud sums the squares itself; np.linalg.norm is the reference
+    cloud = np.asfortranarray(cloud) if fortran else cloud
+    norm = np.linalg.norm(cloud, axis=1)
+    assume(np.all(norm > 0.0))
+    theta, phi, r = spherical_of_cloud(cloud)
+    assert r.tobytes() == norm.tobytes()
+    assert phi.tobytes() == np.arcsin(np.clip(cloud[:, 2] / norm, -1.0, 1.0)).tobytes()
+    assert theta.tobytes() == (np.arctan2(cloud[:, 1], cloud[:, 0]) % (2 * math.pi)).tobytes()
 
 
 def test_to_spherical_wraps_azimuth():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import recorded_pools, set_blas_threads
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -268,6 +269,28 @@ def test_reservoir_matches_per_channel_algorithm_r(seed, capacity, num_channels,
         if kept:
             for p in (0.0, 10.0, 37.5, 90.0, 100.0):
                 assert res.percentile(p).tobytes() == reference.percentile(p).tobytes()
+
+
+# (capacity, channels, cores): slots drawn many times over in one update, more
+# channels than cores, and more cores than channels
+@pytest.mark.parametrize("capacity,num_channels,cores", [(3, 4, 2), (50, 5, 2), (1000, 4, 8)])
+@pytest.mark.parametrize("blas_threads", [None, "1"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reservoir_channels_side_by_side_are_algorithm_r(
+        monkeypatch, seed, blas_threads, capacity, num_channels, cores):
+    set_blas_threads(monkeypatch, blas_threads)
+    pools = recorded_pools(monkeypatch, cores)
+    res = DensityReservoir(num_channels, capacity, seed)
+    reference = _ChannelReservoirs(num_channels, capacity, seed)
+    rng = np.random.default_rng(seed)
+    for size in rng.integers(0, 3000, size=6):
+        chunk = rng.normal(size=(size, num_channels))
+        res.update(chunk)
+        reference.update(chunk)
+        assert reference.seen == [res.seen] * num_channels
+        kept = min(res.seen, capacity)
+        assert res.samples[:, :kept].tobytes() == np.array(reference.samples).tobytes()
+    assert set(pools) == ({min(num_channels, cores)} if blas_threads else set())
 
 
 def test_reservoir_defaults_to_one_channel_per_sigma():
