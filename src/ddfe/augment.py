@@ -87,6 +87,7 @@ def beam_sample(
 
 def rotate_yaw(cloud: np.ndarray, yaw: float) -> np.ndarray:
     """Rotate about +z by yaw; maps azimuth theta to (theta + yaw) mod 2pi."""
+    cloud = check_cloud(cloud)
     c, s = np.cos(yaw), np.sin(yaw)
     out = np.empty_like(cloud)
     out[:, 0] = c * cloud[:, 0] - s * cloud[:, 1]
@@ -103,15 +104,15 @@ def enhanced_mix3d(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Concatenate scene_b onto scene_a after a random yaw and ego-axis shift.
 
-    scene_a is never modified; labels concatenate in (a, b) order.
+    scene_a is never modified; labels concatenate in (a, b) order.  Both
+    clouds pass io.check_cloud, scene_b's in rotate_yaw.
     """
-    cloud_a = np.asarray(scene_a[0], dtype=np.float64)
-    cloud_b = np.asarray(scene_b[0], dtype=np.float64)
+    cloud_a = check_cloud(scene_a[0])
     labels_a = check_labels(scene_a[1], len(cloud_a), LABEL_LIMIT)
-    labels_b = check_labels(scene_b[1], len(cloud_b), LABEL_LIMIT)
     yaw = rng.uniform(cfg.mix_rotation[0], cfg.mix_rotation[1])
     shift = rng.uniform(0.0, cfg.mix_translation_max)
-    moved = rotate_yaw(cloud_b, yaw)
+    moved = rotate_yaw(scene_b[0], yaw)
+    labels_b = check_labels(scene_b[1], len(moved), LABEL_LIMIT)
     moved[:, 0] += shift
     return np.concatenate([cloud_a, moved]), np.concatenate([labels_a, labels_b])
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import check_cloud
+from .io import DEFAULT_SIGMAS, check_cloud
 from .parallel import ROW_BLOCK, run_blocks
 from .sensors import (
     ProjectionParams,
@@ -26,8 +26,6 @@ from .sensors import (
     project_cols,
     project_rows,
 )
-
-DEFAULT_SIGMAS = (10.0, 30.0, 50.0, 70.0)  # pixels of the projected image
 
 
 @dataclass(frozen=True)

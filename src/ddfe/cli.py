@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io as ddfe_io
 from .augment import AugmentConfig, augment_pipeline
-from .beams import DEFAULT_SIGMAS, band_center_density, beam_profile, density_for_cloud
+from .beams import band_center_density, beam_profile, density_for_cloud
 from .embedding import (
     RANGE_BIN_EDGES,
     TrainConfig,
@@ -107,8 +107,8 @@ def _cmd_stats(args) -> None:
         reservoir.update(density_for_cloud(profile, cloud, proj))
     clip = fit_clip(reservoir)
     print(f"fit clip on {len(paths)} scans")
-    for c, sigma in enumerate(DEFAULT_SIGMAS):
-        print(f"  d{int(sigma)}: P10={clip.p10[c]:.6g} P90={clip.p90[c]:.6g} "
+    for c, label in enumerate(ddfe_io.DENSITY_LABELS):
+        print(f"  {label}: P10={clip.p10[c]:.6g} P90={clip.p90[c]:.6g} "
               f"m={clip.mid[c]:.6g} l={clip.half_span[c]:.6g}")
 
 

@@ -13,22 +13,34 @@ from pathlib import Path
 import numpy as np
 
 SCAN_RECORD_BYTES = 16  # x, y, z, intensity as float32
-DENSITY_CHANNELS = 4  # one per beams.DEFAULT_SIGMAS (a test pins the two)
-DENSITY_CSV_HEADER = "d10,d30,d50,d70"
+DEFAULT_SIGMAS = (10.0, 30.0, 50.0, 70.0)  # beam-density scales (beams re-exports them), in pixels
+DENSITY_CHANNELS = len(DEFAULT_SIGMAS)
+DENSITY_LABELS = tuple(f"d{int(sigma)}" for sigma in DEFAULT_SIGMAS)
+DENSITY_CSV_HEADER = ",".join(DENSITY_LABELS)
 LABEL_LIMIT = 1 << 16  # .label files keep class ids in the low 16 bits
+
+
+def _check_rows(values, width: int, array: str, value: str, where: str) -> np.ndarray:
+    """Return values as (N, width) float64; a NaN or inf raises, naming its row."""
+    with np.errstate(invalid="ignore"):  # a float32 signalling NaN warns as it widens
+        values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] != width:
+        raise ValueError(f"expected (N, {width}) {array}, got shape {values.shape}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"non-finite {value} at {where} {np.flatnonzero(~finite)[0] // width}")
+    return values
 
 
 def check_cloud(cloud) -> np.ndarray:
     """Return the cloud as (N, 3) float64; a NaN or inf raises, naming its point index."""
-    with np.errstate(invalid="ignore"):  # a float32 signalling NaN warns as it widens
-        cloud = np.asarray(cloud, dtype=np.float64)
-    if cloud.ndim != 2 or cloud.shape[1] != 3:
-        raise ValueError(f"expected (N, 3) cloud, got shape {cloud.shape}")
-    finite = np.isfinite(cloud)
-    if not finite.all():
-        point = np.flatnonzero(~finite)[0] // 3
-        raise ValueError(f"non-finite coordinates at point index {point}")
-    return cloud
+    return _check_rows(cloud, 3, "cloud", "coordinates", "point index")
+
+
+def check_density(values, channels: int = DENSITY_CHANNELS) -> np.ndarray:
+    """Return an (N, channels) density embedding as float64; a NaN or inf
+    raises, naming its row, so a writer never makes a file its reader rejects."""
+    return _check_rows(values, channels, "densities", "density", "row")
 
 
 def check_labels(labels, n: int, num_classes: int) -> np.ndarray:
@@ -108,21 +120,9 @@ def write_labels(labels: np.ndarray, path) -> None:
         fh.write(labels.astype("<u4").tobytes())
 
 
-def _check_density(values) -> np.ndarray:
-    """Return an (N, DENSITY_CHANNELS) embedding as float64; a NaN or inf raises,
-    naming its row, so a writer never makes a file its reader rejects."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] != DENSITY_CHANNELS:
-        raise ValueError(f"expected (N, {DENSITY_CHANNELS}) densities, got shape {values.shape}")
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise ValueError(f"non-finite density at row {np.flatnonzero(~finite)[0] // DENSITY_CHANNELS}")
-    return values
-
-
 def write_density(values: np.ndarray, path) -> None:
     """Write an (N, 4) density embedding as row-major float32."""
-    records = _narrow_float32(_check_density(values), "density", "row")
+    records = _narrow_float32(check_density(values), "density", "row")
     with open(path, "wb") as fh:
         fh.write(records.tobytes())
 
@@ -137,7 +137,7 @@ def read_density(path) -> np.ndarray:
 
 
 def write_density_csv(values: np.ndarray, path) -> None:
-    values = _check_density(values)
+    values = check_density(values)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(DENSITY_CSV_HEADER + "\n")
         for row in values:

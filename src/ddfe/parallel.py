@@ -31,13 +31,18 @@ def _mark_pool_thread() -> None:
 def threads() -> int:
     """Threads for parallel jobs: one on a pool's thread, else the cores where
     BLAS runs on one thread (as OpenBLAS reads the first of these variables
-    that holds a positive count), else one."""
+    that holds a positive count), else one.  Where os.sched_getaffinity is
+    missing (macOS, Windows), the cores are os.cpu_count()."""
     if getattr(_pool_thread, "busy", False):
         return 1
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(var, "").strip()
         if value.isdigit() and int(value) > 0:
-            return len(os.sched_getaffinity(0)) if int(value) == 1 else 1
+            if int(value) > 1:
+                return 1
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
+            return os.cpu_count() or 1
     return 1
 
 

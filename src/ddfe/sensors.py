@@ -109,13 +109,16 @@ def get_preset(name: str) -> SensorConfig:
 
 @dataclass(frozen=True)
 class SphericalCoords:
-    """One point in sensor-centric spherical coordinates (radians, meters)."""
+    """One point in sensor-centric spherical coordinates (radians, meters): finite, range > 0."""
 
     azimuth: float
     elevation: float
     range: float
 
     def __post_init__(self):
+        for name in ("azimuth", "elevation", "range"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.range > 0:
             raise ValueError(f"range must be positive, got {self.range}")
 

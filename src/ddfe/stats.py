@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import DEFAULT_SIGMAS
+from .io import DENSITY_CHANNELS, check_density
 from .parallel import run_blocks
 
 RESERVOIR_CAPACITY = 1000
@@ -31,7 +31,7 @@ class DensityReservoir:
     Deterministic for a fixed seed and update sequence.
     """
 
-    def __init__(self, num_channels: int = len(DEFAULT_SIGMAS),
+    def __init__(self, num_channels: int = DENSITY_CHANNELS,
                  capacity: int = RESERVOIR_CAPACITY, seed: int = 0):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -47,15 +47,7 @@ class DensityReservoir:
 
     def update(self, embedding: np.ndarray) -> None:
         """Stream an (N, C) density embedding through the reservoirs."""
-        values = np.asarray(embedding, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] != self.num_channels:
-            raise ValueError(
-                f"expected (N, {self.num_channels}) embedding, got shape {values.shape}"
-            )
-        finite = np.isfinite(values)
-        if not finite.all():
-            row = np.flatnonzero(~finite)[0] // self.num_channels
-            raise ValueError(f"non-finite density at row {row}")
+        values = check_density(embedding, self.num_channels)
         n, cap = self.seen, self.capacity
         fill = min(max(cap - n, 0), len(values))
         self.samples[:, n : n + fill] = values[:fill].T

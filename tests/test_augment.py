@@ -187,6 +187,21 @@ def test_mix3d_counts_and_scene_a_untouched():
     assert np.array_equal(labels, [0] * 50 + [1] * 70)
 
 
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_mix3d_and_rotation_reject_what_check_cloud_rejects(side):
+    good = np.random.default_rng(5).uniform(1.0, 20.0, size=(3, 3))
+    nan = good.copy()
+    nan[2, 1] = np.nan
+    labels = np.zeros(3, dtype=np.int64)
+    for bad, message in ((np.ones((3, 4)), r"^expected \(N, 3\) cloud, got shape \(3, 4\)$"),
+                         (nan, "^non-finite coordinates at point index 2$")):
+        scenes = {"a": (good, labels), "b": (good, labels), side: (bad, labels)}
+        with pytest.raises(ValueError, match=message):
+            enhanced_mix3d(scenes["a"], scenes["b"], AugmentConfig(), np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            rotate_yaw(bad, 0.5)
+
+
 def test_rotation_maps_azimuth_additively():
     point = np.array([[1.0, 0.0, 0.5]])
     rotated = rotate_yaw(point, math.pi / 2.0)

@@ -216,6 +216,16 @@ def test_blocked_forward_on_more_threads_than_cores(monkeypatch):
     assert pools == [8] * 3
 
 
+def test_threads_count_cores_where_sched_getaffinity_is_missing(monkeypatch):
+    # CPython on macOS and Windows has no os.sched_getaffinity
+    set_blas_threads(monkeypatch, "1")
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert parallel.threads() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert parallel.threads() == 1
+
+
 @pytest.mark.parametrize("blas_threads,trainable", [(None, False), ("1", True)])
 def test_forward_is_one_block_unless_blas_runs_on_one_thread_and_no_tape(
         monkeypatch, blas_threads, trainable):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ddfe import io as dio
 from ddfe import nn
 from ddfe.augment import AugmentConfig, beam_sample, enhanced_mix3d
-from ddfe.beams import DEFAULT_SIGMAS, beam_profile, density_for_cloud
+from ddfe.beams import beam_profile, density_for_cloud
 from ddfe.embedding import (
     EmbeddingConfig,
     EmbeddingParams,
@@ -144,12 +144,6 @@ def test_density_round_trip(tmp_path):
     (tmp_path / "nan.f32").write_bytes(np.array([1, 2, 3, 4, 5, np.nan, 7, 8], "<f4").tobytes())
     with pytest.raises(ValueError, match=r"non-finite density at offset 20 \(row 1\)"):
         dio.read_density(tmp_path / "nan.f32")
-
-
-def test_density_formats_have_one_channel_per_sigma():
-    # io cannot import beams (beams -> sensors -> io), so the width is pinned here
-    assert dio.DENSITY_CHANNELS == len(DEFAULT_SIGMAS)
-    assert dio.DENSITY_CSV_HEADER == ",".join(f"d{int(s)}" for s in DEFAULT_SIGMAS)
 
 
 def test_density_csv_round_trip(tmp_path):
@@ -345,6 +339,9 @@ _CLOUD_ENTRIES = {
     "encode_scene": lambda cloud, _: encode_scene(cloud, _PROFILE, PP, 0.2),
     "beam_sample": lambda cloud, _: beam_sample(
         cloud, np.zeros(cloud.shape[0], dtype=np.int64), SIM, np.arange(8)),
+    "enhanced_mix3d": lambda cloud, _: enhanced_mix3d(
+        (np.zeros((0, 3)), np.zeros(0, dtype=np.int64)),
+        (cloud, np.zeros(cloud.shape[0], dtype=np.int64)), AugmentConfig(), np.random.default_rng(0)),
 }
 
 # entry -> (its class count K, call with (cloud, labels, tmp_dir))

@@ -169,6 +169,14 @@ def test_to_spherical_wraps_azimuth():
 def test_spherical_coords_positive_range():
     with pytest.raises(ValueError):
         SphericalCoords(0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="^range must be positive, got -1.0$"):
+        SphericalCoords(0.0, 0.0, -1.0)
+    for args, field, value in (((math.nan, 0.0, 10.0), "azimuth", "nan"),
+                               ((0.0, -math.inf, 10.0), "elevation", "-inf"),
+                               ((0.0, 0.0, math.inf), "range", "inf"),
+                               ((0.0, 0.0, math.nan), "range", "nan")):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            SphericalCoords(*args)
 
 
 def test_projection_image_is_fixed():
