@@ -87,6 +87,8 @@ def beam_sample(
 
 def rotate_yaw(cloud: np.ndarray, yaw: float) -> np.ndarray:
     """Rotate about +z by yaw; maps azimuth theta to (theta + yaw) mod 2pi."""
+    if not np.isfinite(yaw):
+        raise ValueError(f"yaw must be finite, got {yaw}")
     cloud = check_cloud(cloud)
     c, s = np.cos(yaw), np.sin(yaw)
     out = np.empty_like(cloud)

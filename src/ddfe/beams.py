@@ -43,8 +43,8 @@ class BeamProfile:
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Sum-normalized 1-D Gaussian truncated at +/- 4 sigma."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
     radius = int(math.ceil(4.0 * sigma))
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-0.5 * (t / sigma) ** 2)

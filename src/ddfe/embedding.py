@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .beams import DEFAULT_SIGMAS, BeamProfile, beam_profile, density_for_cloud
-from .io import LABEL_LIMIT, check_labels, parse_key_values, read_ascii
+from .beams import BeamProfile, beam_profile, density_for_cloud
+from .io import DENSITY_CHANNELS, LABEL_LIMIT, check_labels, parse_key_values, read_ascii
 from .parallel import run_blocks, thread_pool, threads
 from .sensors import ProjectionParams, SensorConfig, spherical_of_cloud
 from .stats import ClipParams, DensityReservoir, fit_clip, soft_clip
@@ -49,15 +49,22 @@ RANGE_BIN_EDGES = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
-    """Class count, voxel size and ablation switches.
-
-    Training without the density clip leaves the model's clip at None.
-    """
+    """Class count, voxel size and ablation switches; the one home of a model's
+    rules: num_classes in [1, io.LABEL_LIMIT] (no label file holds a larger
+    id) and a voxel size that passes `check_voxel_size`.  Training without
+    the density clip leaves the model's clip at None."""
 
     num_classes: int = 4
     voxel_size: float = 0.20
     use_attention: bool = True  # density-driven gates (off: gates == 1)
     use_density: bool = True    # off: density channels zeroed at the source
+
+    def __post_init__(self):
+        if self.num_classes < 1:
+            raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
+        if self.num_classes > LABEL_LIMIT:
+            raise ValueError(f"num_classes must be <= {LABEL_LIMIT}, got {self.num_classes}")
+        check_voxel_size(self.voxel_size)
 
 
 class EmbeddingParams:
@@ -65,7 +72,6 @@ class EmbeddingParams:
 
     def __init__(self, config: EmbeddingConfig, rng: np.random.Generator):
         self.config = config
-        density_channels = len(DEFAULT_SIGMAS)
         self.tensors: dict[str, nn.Tensor] = {}
 
         def mlp(prefix, d_in, d_hidden, d_out):
@@ -76,8 +82,8 @@ class EmbeddingParams:
 
         mlp("voxel_mlp", 4, HIDDEN, VOXEL_CHANNELS)
         mlp("point_head", 3, HIDDEN, POINT_CHANNELS)
-        mlp("attn_point", density_channels, HIDDEN, POINT_CHANNELS)
-        mlp("attn_voxel", density_channels, HIDDEN, VOXEL_CHANNELS)
+        mlp("attn_point", DENSITY_CHANNELS, HIDDEN, POINT_CHANNELS)
+        mlp("attn_voxel", DENSITY_CHANNELS, HIDDEN, VOXEL_CHANNELS)
         self._add("fuse.w", (VOXEL_CHANNELS + POINT_CHANNELS, FUSED_CHANNELS), rng)
         self._add("fuse.b", (FUSED_CHANNELS,), rng)
         mlp("toy_head", FUSED_CHANNELS, FUSED_CHANNELS, config.num_classes)
@@ -111,7 +117,7 @@ class EncodedScene:
     segments: nn.SegmentMap
     offsets: np.ndarray       # (N, 3) intra-voxel offsets
     center_feats: np.ndarray  # (M, 4) voxel centers as (cos, sin, phi, r/25)
-    density_raw: np.ndarray   # (N, len(DEFAULT_SIGMAS)) unclipped densities
+    density_raw: np.ndarray   # (N, io.DENSITY_CHANNELS) unclipped densities
     labels: np.ndarray | None = None
     voxel_labels: np.ndarray | None = None
 
@@ -222,7 +228,7 @@ def forward_encoded(scene: EncodedScene, params: EmbeddingParams,
         density, point_feats = _point_stream(scene, params, clip, slice(None))
     else:
         n = scene.offsets.shape[0]
-        density = np.empty((n, len(DEFAULT_SIGMAS)))
+        density = np.empty((n, DENSITY_CHANNELS))
         point_feats = np.empty((n, POINT_CHANNELS))
 
         def run_block(rows):
@@ -273,14 +279,13 @@ class TrainConfig:
     num_classes: int = 4
 
     def __post_init__(self):
-        for name, low in (("epochs", 1), ("batch_size", 1), ("num_classes", 1), ("seed", 0)):
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.num_classes > LABEL_LIMIT:  # a label file holds no larger class id
-            raise ValueError(f"num_classes must be <= {LABEL_LIMIT}, got {self.num_classes}")
-        for name in ("base_lr", "lr_decay", "voxel_size"):
+        for name in ("base_lr", "lr_decay"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        EmbeddingConfig(self.num_classes, self.voxel_size)  # the model's own rules
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
@@ -303,11 +308,14 @@ def inverse_frequency_weights(labels: np.ndarray, num_classes: int) -> np.ndarra
 
 @dataclass
 class Model:
-    """Trained bundle: architecture config, constant parameters, frozen clip."""
+    """Trained bundle: constant parameters (which carry the config), frozen clip."""
 
-    config: EmbeddingConfig
     params: EmbeddingParams
     clip: ClipParams | None
+
+    @property
+    def config(self) -> EmbeddingConfig:
+        return self.params.config
 
 
 def scene_loss(scene: EncodedScene, model_params: EmbeddingParams,
@@ -393,7 +401,7 @@ def train(
             if progress is not None:
                 progress(epoch, scene_loss_sum / len(scenes))
 
-    return model_from_tensors(checkpoint_tensors(Model(config, params, clip)))
+    return model_from_tensors(checkpoint_tensors(Model(params, clip)))
 
 
 # --- evaluation -----------------------------------------------------------
@@ -479,54 +487,44 @@ def checkpoint_tensors(model: Model) -> dict[str, np.ndarray]:
 def model_from_tensors(tensors: dict[str, np.ndarray]) -> Model:
     """The model a checkpoint holds, as constants: inference on it builds no tape.
 
-    Every tensor must be present, of its expected shape and finite; each
-    `meta.<field>` is 0-d and exactly a value of its field's type; the clip
-    tensors come as a pair that `ClipParams` accepts, or not at all;
-    `meta.voxel_size` passes `check_voxel_size`; `meta.num_classes` is >= 1
-    and the length of `point_classifier.b`.
+    Every tensor must be present, of its expected shape and, but for the
+    meta, finite; each `meta.<field>` is 0-d and exactly a value of its
+    field's type, and the meta must make an `EmbeddingConfig` (whose error is
+    reported as `checkpoint meta: ...`); the clip tensors come as a pair that
+    `ClipParams` accepts, or not at all.
     """
-    def present(name: str) -> np.ndarray:
+    def get(name: str, shape: tuple[int, ...], finite: bool = True) -> np.ndarray:
         if name not in tensors:
             raise ValueError(f"checkpoint is missing tensor {name!r}")
-        return tensors[name]
-
-    def get(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        stored = present(name)
+        stored = tensors[name]
         if stored.shape != shape:
             raise ValueError(
                 f"checkpoint tensor {name!r} has shape {stored.shape}, expected {shape}")
-        bad = np.flatnonzero(~np.isfinite(stored))
-        if bad.size:
+        bad = np.flatnonzero(~np.isfinite(stored)) if finite else ()
+        if len(bad):
             raise ValueError(f"checkpoint tensor {name!r} is not finite at flat index {bad[0]}")
         return stored
 
     fields = {}
     for field, kind in typing.get_type_hints(EmbeddingConfig).items():
-        value = get(f"meta.{field}", ())
-        if kind(value) != value:
-            raise ValueError(
-                f"checkpoint tensor 'meta.{field}' holds {float(value)!r}, "
-                f"not a value of type {kind.__name__}")
+        value = float(get(f"meta.{field}", (), finite=False))
+        if kind is not float and not (value.is_integer() and kind(value) == value):
+            raise ValueError(f"checkpoint tensor 'meta.{field}' holds {value!r}, "
+                             f"not a value of type {kind.__name__}")
         fields[field] = kind(value)
-    config = EmbeddingConfig(**fields)
-    check_voxel_size(config.voxel_size, "checkpoint tensor 'meta.voxel_size'")
-    # EmbeddingParams allocates from num_classes, so it is checked first.
-    if config.num_classes < 1:
-        raise ValueError(
-            f"checkpoint tensor 'meta.num_classes' holds {config.num_classes}, not a count >= 1")
-    classes = present("point_classifier.b").shape
-    if classes != (config.num_classes,):
-        raise ValueError(f"checkpoint tensor 'meta.num_classes' holds {config.num_classes}, "
-                         f"but 'point_classifier.b' has shape {classes}")
+    try:
+        config = EmbeddingConfig(**fields)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint meta: {exc}") from None
     params = EmbeddingParams(config, np.random.default_rng(0))
     for name, tensor in params.tensors.items():
         params.tensors[name] = nn.Tensor(get(name, tensor.shape).copy())
     clip = None
     if "clip.mid" in tensors or "clip.half_span" in tensors:
-        channels = (len(DEFAULT_SIGMAS),)
+        channels = (DENSITY_CHANNELS,)
         clip = ClipParams.from_mid_span(get("clip.mid", channels),
                                         get("clip.half_span", channels))
-    return Model(config, params, clip)
+    return Model(params, clip)
 
 
 # --- cross-domain feature similarity ---------------------------------------

@@ -202,6 +202,14 @@ def test_mix3d_and_rotation_reject_what_check_cloud_rejects(side):
             rotate_yaw(bad, 0.5)
 
 
+@pytest.mark.parametrize("yaw", [math.nan, math.inf, -math.inf])
+def test_rotation_rejects_a_non_finite_yaw(yaw):
+    # raised before any arithmetic, so np.cos warns of nothing
+    with np.errstate(all="raise"), pytest.raises(ValueError,
+                                                 match=f"^yaw must be finite, got {yaw}$"):
+        rotate_yaw(np.array([[1.0, 2.0, 3.0]]), yaw)
+
+
 def test_rotation_maps_azimuth_additively():
     point = np.array([[1.0, 0.0, 0.5]])
     rotated = rotate_yaw(point, math.pi / 2.0)

@@ -135,6 +135,9 @@ def test_smooth_rejects_bad_sigma():
         gaussian_kernel(0.0)
     with pytest.raises(ValueError):
         gaussian_kernel(-1.0)
+    for sigma in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^sigma must be finite and > 0, got {sigma}$"):
+            gaussian_kernel(sigma)
 
 
 def test_sigma_support_nesting():

@@ -1,7 +1,10 @@
 import functools
+import hashlib
+import math
 import multiprocessing
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +39,7 @@ from ddfe import io as dio
 
 SIM = SensorConfig("sim16", 128, 16, -20.0, 4.0)
 PROJ = ProjectionParams()
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -436,7 +440,7 @@ def _one_tape_checkpoint(batch_size: int) -> dict[str, np.ndarray]:
                 loss = scene_loss(scenes[idx], params, clip, class_weights) * (1.0 / batch.size)
                 total = loss if total is None else total + loss
             optimizer.step(total.backward())
-    return checkpoint_tensors(Model(config, params, clip))
+    return checkpoint_tensors(Model(params, clip))
 
 
 @pytest.mark.parametrize("batch_size", [1, 2, 3])
@@ -481,7 +485,7 @@ def test_pools_are_per_call_so_a_forked_child_finishes(monkeypatch):
         child.join()
 
 
-_UNTRAINED = Model(EmbeddingConfig(), _params(), None)
+_UNTRAINED = Model(_params(), None)
 
 # every entry that encodes a labelled dataset, called on a dataset
 _DATASET_ENTRIES = {
@@ -557,19 +561,20 @@ def test_model_from_tensors_validates(tmp_path):
         ("meta.num_classes", np.float64(4.7),
          "tensor 'meta.num_classes' holds 4.7, not a value of type int"),
         ("meta.num_classes", np.float64(np.inf),
-         "tensor 'meta.num_classes' is not finite at flat index 0"),
+         "tensor 'meta.num_classes' holds inf, not a value of type int"),
         ("meta.num_classes", np.float64(-1),
-         "tensor 'meta.num_classes' holds -1, not a count >= 1"),
+         "checkpoint meta: num_classes must be >= 1, got -1"),
         ("meta.num_classes", np.float64(1e12),
-         r"tensor 'meta.num_classes' holds 1000000000000, but 'point_classifier.b' "
-         r"has shape \(4,\)"),
+         "checkpoint meta: num_classes must be <= 65536, got 1000000000000"),
+        ("meta.num_classes", np.float64(5),
+         r"tensor 'toy_head.w2' has shape \(32, 4\), expected \(32, 5\)"),
         ("clip.mid", np.array([0.1, 0.1, np.nan, 0.1]),
          "tensor 'clip.mid' is not finite at flat index 2"),
         ("fuse.w", nan_at_5, "tensor 'fuse.w' is not finite at flat index 5"),
         ("clip.half_span", np.array([0.01, 0.0, 0.01, 0.01]),
          "clip.half_span must be finite and > 0, got 0.0 at index 1"),
         ("meta.voxel_size", np.float64(-0.2),
-         "tensor 'meta.voxel_size' must be finite and > 0, got -0.2"),
+         "checkpoint meta: voxel_size must be finite and > 0, got -0.2"),
         ("clip.mid", np.full(3, 0.1),
          r"tensor 'clip.mid' has shape \(3,\), expected \(4,\)"),
         ("clip.mid", None, "checkpoint is missing tensor 'clip.mid'"),
@@ -583,6 +588,53 @@ def test_model_from_tensors_validates(tmp_path):
             model_from_tensors(wrong)
 
 
+def _raised(make) -> str | None:
+    """The ValueError text `make()` raises, or None if it returns."""
+    try:
+        make()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("voxel_size", [math.nan, math.inf, -math.inf, 0.0, -0.2, 0.2])
+@pytest.mark.parametrize("num_classes", [-1, 0, 1, 65536, 65537])
+def test_model_rules_agree_at_every_entry(tmp_path, num_classes, voxel_size):
+    # EmbeddingConfig holds the rules; TrainConfig and the loader must say the same.
+    rule = _raised(lambda: EmbeddingConfig(num_classes, voxel_size))
+    assert _raised(lambda: TrainConfig(num_classes=num_classes, voxel_size=voxel_size)) == rule
+    heads = num_classes if 1 <= num_classes <= 8 else 4
+    tensors = checkpoint_tensors(Model(_params(num_classes=heads), None))
+    tensors["meta.num_classes"] = np.float64(num_classes)
+    tensors["meta.voxel_size"] = np.float64(voxel_size)
+    path = tmp_path / "m.ckpt"
+    dio.save_checkpoint(tensors, path)
+    loaded = _raised(lambda: model_from_tensors(dio.load_checkpoint(path)))
+    if rule is not None:
+        assert loaded == f"checkpoint meta: {rule}"
+    elif heads == num_classes:
+        config = model_from_tensors(dio.load_checkpoint(path)).config
+        assert config == EmbeddingConfig(num_classes, voxel_size)
+    else:  # a count the heads do not have fails their shape check
+        assert loaded == (f"checkpoint tensor 'toy_head.w2' has shape (32, 4), "
+                          f"expected (32, {num_classes})")
+
+
+def test_checkpoint_written_by_the_previous_loader_still_loads():
+    # tests/data/parent_sim16.ckpt: train(make_dataset(2, SIM, seed=33), SIM,
+    # TrainConfig(epochs=1, seed=0)), saved by the tree before EmbeddingConfig
+    # held the model's rules; the digest of its predictions was computed there.
+    model = model_from_tensors(dio.load_checkpoint(DATA / "parent_sim16.ckpt"))
+    assert model.config == EmbeddingConfig()
+    assert model.config is model.params.config
+    cloud, _ = make_dataset(1, SIM, seed=7)[0]
+    scene = encode_scene(cloud, beam_profile(SIM, PROJ), PROJ, model.config.voxel_size)
+    pred = point_predictions(scene, model)
+    assert np.bincount(pred).tolist() == [882, 25, 541]
+    assert hashlib.sha256(pred.astype("<i8").tobytes()).hexdigest() == (
+        "cb4f9d20bc3b93257481a41feb1aa6c70939bd22d13f6dbf4b33295f4576c7c6")
+
+
 def test_inference_builds_no_tape(small_scene):
     trainable = _params()
     assert all(p.requires_grad for p in trainable.parameters())
@@ -594,7 +646,7 @@ def test_inference_builds_no_tape(small_scene):
         # the same arrays as trainable tensors: the forward pass builds a tape
         for name, tensor in model.params.tensors.items():
             trainable.tensors[name] = nn.Tensor(tensor.data, requires_grad=True)
-        reference = point_predictions(small_scene, Model(model.config, trainable, model.clip))
+        reference = point_predictions(small_scene, Model(trainable, model.clip))
         assert point_predictions(small_scene, model).tobytes() == reference.tobytes()
 
 

@@ -320,7 +320,7 @@ def test_readers_return_well_formed_data_or_name_the_position(
 
 _PROFILE = beam_profile(SIM, PP)
 _CONFIG = EmbeddingConfig(num_classes=4)
-_MODEL = Model(_CONFIG, EmbeddingParams(_CONFIG, np.random.default_rng(0)), None)
+_MODEL = Model(EmbeddingParams(_CONFIG, np.random.default_rng(0)), None)
 
 
 def _read_written_scan(cloud, tmp_dir):
