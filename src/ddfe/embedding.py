@@ -11,15 +11,19 @@ trained and scored end to end at desk scale.
 
 from __future__ import annotations
 
+import numbers
 import typing
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from . import nn
 from .beams import BeamProfile, beam_profile, density_for_cloud
 from .io import DENSITY_CHANNELS, LABEL_LIMIT, check_labels, parse_key_values, read_ascii
-from .parallel import run_blocks, thread_pool, threads
+from .parallel import ROW_BLOCK, run_blocks, thread_pool, threads
 from .sensors import ProjectionParams, SensorConfig, spherical_of_cloud
 from .stats import ClipParams, DensityReservoir, fit_clip, soft_clip
 from .voxels import VoxelGrid, check_voxel_size, majority_label, voxel_offsets, voxelize
@@ -47,10 +51,18 @@ POINT_BLOCK = 8192
 RANGE_BIN_EDGES = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0)
 
 
+def _check_count(name: str, value, low: int) -> None:
+    """Raise unless value is an integer (not a bool) >= low, naming it as `name`."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class EmbeddingConfig:
     """Class count, voxel size and ablation switches; the one home of a model's
-    rules: num_classes in [1, io.LABEL_LIMIT] (no label file holds a larger
+    rules: num_classes an integer in [1, io.LABEL_LIMIT] (no label file holds a larger
     id) and a voxel size that passes `check_voxel_size`.  Training without
     the density clip leaves the model's clip at None."""
 
@@ -60,8 +72,7 @@ class EmbeddingConfig:
     use_density: bool = True    # off: density channels zeroed at the source
 
     def __post_init__(self):
-        if self.num_classes < 1:
-            raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
+        _check_count("num_classes", self.num_classes, 1)
         if self.num_classes > LABEL_LIMIT:
             raise ValueError(f"num_classes must be <= {LABEL_LIMIT}, got {self.num_classes}")
         check_voxel_size(self.voxel_size)
@@ -209,53 +220,96 @@ def _point_stream(scene: EncodedScene, params: EmbeddingParams, clip: ClipParams
     return density, point_feats
 
 
-def forward_encoded(scene: EncodedScene, params: EmbeddingParams,
-                    clip: ClipParams | None) -> tuple[nn.Tensor, nn.Tensor]:
+def _rows(x: nn.Tensor, rows: slice) -> nn.Tensor:
+    """Rows `rows` of x: x itself, tape and all, for slice(None)."""
+    return x if rows == slice(None) else nn.Tensor(x.data[rows])
+
+
+def _voxel_stream(scene: EncodedScene, params: EmbeddingParams, voxel_density: nn.Tensor | None,
+                  pooled: nn.Tensor, rows: slice, heads: bool) -> tuple[nn.Tensor, ...]:
+    """The voxel-wise rest of the forward pass on voxel rows `rows`: the fused
+    features and, with heads, the voxel head's hidden layer.  The voxel gate
+    sees `voxel_density` unless it is None."""
+    voxel_feats = params._mlp2(nn.Tensor(scene.center_feats[rows]), "voxel_mlp")
+    if voxel_density is not None:
+        voxel_gate = nn.sigmoid(params._mlp2(_rows(voxel_density, rows), "attn_voxel"))
+        voxel_feats = nn.multiply(voxel_gate, voxel_feats)
+    fused = nn.linear(nn.concat([voxel_feats, _rows(pooled, rows)], axis=1),
+                      params["fuse.w"], params["fuse.b"])
+    if not heads:
+        return (fused,)
+    return fused, nn.relu(nn.linear(fused, params["toy_head.w1"], params["toy_head.b1"]))
+
+
+def _in_blocks(pool: ThreadPoolExecutor | None, n: int, stage, widths: tuple[int, ...]):
+    """stage(rows) over rows [0, n): one call on slice(None) without a pool,
+    else in blocks of at least POINT_BLOCK rows on the pool, each writing its
+    rows of the outputs (of `widths` columns) in place."""
+    if pool is None:
+        return stage(slice(None))
+    outs = [np.empty((n, width)) for width in widths]
+
+    def run_block(rows):
+        for out, part in zip(outs, stage(rows)):
+            out[rows] = part.data
+
+    run_blocks(n, POINT_BLOCK, run_block, pool)
+    return [nn.Tensor(out) for out in outs]
+
+
+def _inference_pool(scene: EncodedScene, params: EmbeddingParams):
+    """The pool the forward pass on `scene` runs on: min(point blocks,
+    threads()) workers on constant parameters, where that is two or more;
+    else a context of None, and everything runs whole on this thread."""
+    workers = min(scene.offsets.shape[0] // POINT_BLOCK, threads())
+    if workers < 2 or any(p.requires_grad for p in params.parameters()):
+        return nullcontext()
+    return thread_pool(workers)
+
+
+def forward_encoded(scene: EncodedScene, params: EmbeddingParams, clip: ClipParams | None,
+                    heads: bool = False, pool: ThreadPoolExecutor | None = None
+                    ) -> tuple[nn.Tensor, nn.Tensor]:
     """Differentiable DDFE forward pass on a pre-encoded scene.
 
     Returns the (gated) point features and the fused voxel features: the
     fuse layer over the (gated) voxel stream and the channel-wise max of the
     point stream over each voxel's points.  With attention on, the point
     gate sees each point's clipped density and the voxel gate the mean
-    clipped density of its points.
+    clipped density of its points.  With heads, it returns the point
+    classifier's (N, K) logits and the voxel head's (M, K) logits instead.
 
-    On constant parameters, the point stream runs in row blocks
-    (parallel.run_blocks), each writing its rows in place.  A block's GEMMs
-    give the same bits as the same rows of the whole product, so the result
-    does too.  With a tape, or on one thread, it runs as one block.
+    On constant parameters, the work runs on `pool`, a caller's
+    `_inference_pool`, or else on one built for the call.  The point stream
+    runs in row blocks of at least POINT_BLOCK rows, then the point
+    classifier on one worker while this thread takes the segment mean and
+    max, then the voxel stream (up to the voxel head's hidden layer) in
+    blocks of voxels.  A block's GEMMs give the same bits as the same rows of
+    the whole product; 4-output GEMMs do not, so the classifier and the voxel
+    head's last layer run whole.  With a tape, or on one thread, everything
+    runs whole on this thread.
     """
-    if threads() == 1 or any(p.requires_grad for p in params.parameters()):
-        density, point_feats = _point_stream(scene, params, clip, slice(None))
-    else:
-        n = scene.offsets.shape[0]
-        density = np.empty((n, DENSITY_CHANNELS))
-        point_feats = np.empty((n, POINT_CHANNELS))
-
-        def run_block(rows):
-            block_density, block_feats = _point_stream(scene, params, clip, rows)
-            density[rows] = block_density.data
-            point_feats[rows] = block_feats.data
-
-        run_blocks(n, POINT_BLOCK, run_block)
-        density, point_feats = nn.Tensor(density), nn.Tensor(point_feats)
-    voxel_feats = params._mlp2(nn.Tensor(scene.center_feats), "voxel_mlp")
-    if params.config.use_attention:
-        voxel_gate = nn.sigmoid(params._mlp2(nn.segment_mean(density, scene.segments),
-                                             "attn_voxel"))
-        voxel_feats = nn.multiply(voxel_gate, voxel_feats)
-    pooled = nn.segment_max(point_feats, scene.segments)
-    fused = nn.linear(nn.concat([voxel_feats, pooled], axis=1),
-                      params["fuse.w"], params["fuse.b"])
-    return point_feats, fused
-
-
-def _logits(scene: EncodedScene, params: EmbeddingParams,
-            clip: ClipParams | None) -> tuple[nn.Tensor, nn.Tensor]:
-    """Point-classifier logits (N, K) and voxel-head logits (M, K)."""
-    point_feats, fused = forward_encoded(scene, params, clip)
-    point_logits = nn.linear(point_feats, params["point_classifier.w"],
-                             params["point_classifier.b"])
-    return point_logits, params._mlp2(fused, "toy_head")
+    with nullcontext(pool) if pool is not None else _inference_pool(scene, params) as pool:
+        density, point_feats = _in_blocks(
+            pool, scene.offsets.shape[0], partial(_point_stream, scene, params, clip),
+            (DENSITY_CHANNELS, POINT_CHANNELS))
+        if heads:
+            classify = partial(nn.linear, point_feats, params["point_classifier.w"],
+                               params["point_classifier.b"])
+            point_logits = pool.submit(classify) if pool is not None else classify()
+        voxel_density = (nn.segment_mean(density, scene.segments)
+                         if params.config.use_attention else None)
+        pooled = nn.segment_max(point_feats, scene.segments)
+        voxel_outs = _in_blocks(
+            pool, scene.grid.num_voxels,
+            partial(_voxel_stream, scene, params, voxel_density, pooled, heads=heads),
+            (FUSED_CHANNELS,) * (1 + heads))
+        if not heads:
+            return point_feats, voxel_outs[0]
+        voxel_logits = nn.linear(voxel_outs[1], params["toy_head.w2"], params["toy_head.b2"])
+        if pool is not None:
+            point_logits = point_logits.result()
+        return point_logits, voxel_logits
 
 
 # --- training -------------------------------------------------------------
@@ -280,8 +334,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+            _check_count(name, getattr(self, name), low)
         for name in ("base_lr", "lr_decay"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
@@ -321,7 +374,7 @@ class Model:
 def scene_loss(scene: EncodedScene, model_params: EmbeddingParams,
                clip: ClipParams | None, class_weights: np.ndarray) -> nn.Tensor:
     """Equal-weighted point and voxel losses (Lovasz + weighted CE each)."""
-    point_logits, voxel_logits = _logits(scene, model_params, clip)
+    point_logits, voxel_logits = forward_encoded(scene, model_params, clip, heads=True)
     loss = nn.lovasz_softmax(nn.softmax(point_logits), scene.labels)
     loss = loss + nn.weighted_cross_entropy(point_logits, scene.labels, class_weights)
     loss = loss + nn.lovasz_softmax(nn.softmax(voxel_logits), scene.voxel_labels)
@@ -408,10 +461,23 @@ def train(
 
 
 def point_predictions(scene: EncodedScene, model: Model) -> np.ndarray:
-    """Per-point class: argmax of point logits plus the voxel head's logits."""
-    point_logits, voxel_logits = _logits(scene, model.params, model.clip)
-    return np.argmax(point_logits.data + voxel_logits.data[scene.grid.point_to_voxel],
-                     axis=1)
+    """Per-point class: argmax of point logits plus the voxel head's logits.
+
+    On the forward pass's pool (see `forward_encoded`), the sum and argmax
+    run in row blocks of at least parallel.ROW_BLOCK rows.
+    """
+    point_to_voxel = scene.grid.point_to_voxel
+    pred = np.empty(point_to_voxel.shape[0], dtype=np.intp)
+    with _inference_pool(scene, model.params) as pool:
+        point_logits, voxel_logits = forward_encoded(scene, model.params, model.clip,
+                                                     heads=True, pool=pool)
+
+        def predict(rows):
+            pred[rows] = np.argmax(point_logits.data[rows]
+                                   + voxel_logits.data[point_to_voxel[rows]], axis=1)
+
+        run_blocks(pred.shape[0], ROW_BLOCK, predict, pool)
+    return pred
 
 
 def confusion_matrix(pred: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:

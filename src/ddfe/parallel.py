@@ -14,6 +14,7 @@ import os
 import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 # Fewest rows in a block of an elementwise row job.  A numpy call releases
 # the GIL only while it runs, so on smaller blocks two threads spend much of
@@ -51,19 +52,21 @@ def thread_pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, initializer=_mark_pool_thread)
 
 
-def run_blocks(n: int, floor: int, job: Callable[[slice], object]) -> None:
+def run_blocks(n: int, floor: int, job: Callable[[slice], object],
+               pool: ThreadPoolExecutor | None = None) -> None:
     """Call job(rows) on rows [0, n) split into max(1, n // floor) even blocks.
 
-    The blocks run in order on a pool of min(blocks, threads()) threads; each
-    is a slice(start, stop) of at least min(n, floor) rows.  When that pool
-    would have one thread, job runs once, on this thread, on slice(0, n).  A
+    The blocks run in order on `pool`, or on a pool of min(blocks, threads())
+    threads built for the call; each is a slice(start, stop) of at least
+    min(n, floor) rows.  When there is one block, or the built pool would
+    have one thread, job runs once, on this thread, on slice(0, n).  A
     block's exception is raised here, the earliest block's first.
     """
     blocks = max(1, n // floor)
-    workers = min(blocks, threads())
+    workers = blocks if pool is not None else min(blocks, threads())
     if workers == 1:
         job(slice(0, n))
         return
     edges = [n * i // blocks for i in range(blocks + 1)]
-    with thread_pool(workers) as pool:
+    with nullcontext(pool) if pool is not None else thread_pool(workers) as pool:
         list(pool.map(job, map(slice, edges[:-1], edges[1:])))

@@ -9,7 +9,8 @@ checkpoint and, on the training scans and on the same worlds scanned by
 SIM32, the `evaluate` confusion matrix and the `binned_voxel_features` means
 and counts.  Then come the full model's `point_predictions` on one simulated
 waymo scan and both `forward_encoded` feature arrays on it (an argmax can
-hide a last-bit change in the features), `density_for_cloud` on one
+hide a last-bit change in the features), the no-attention model's
+`point_predictions` on one simulated SIM64 scan, `density_for_cloud` on one
 simulated scan per sensor preset, and `enhanced_mix3d` -> `random_keep_set`
 -> `beam_sample` on the first two training scans under `default_rng(0)`,
 and `nearest_beam` on `beam_edge_cloud` (tests/conftest.py: points at every
@@ -19,7 +20,9 @@ degrees) for each preset and for the closest grids `SensorConfig` accepts:
 -89, 0 and just below +89 degrees.  Last come `density_for_cloud`,
 `nearest_beam` and a `DensityReservoir`'s samples after two updates, on
 `mixed_scan` (tests/conftest.py: two semantickitti scans mixed, 223,809
-points, so every job that splits rows into blocks runs many).  A change that
+points, so every job that splits rows into blocks runs many), and the
+grid `voxelize` makes of `far_cloud` at 0.2 m (tests/conftest.py: a cloud so
+wide that voxelize sorts it by np.lexsort).  A change that
 claims to keep training, evaluation, prediction, the feature report, density
 or augmentation bit-identical must print the same digest as its base commit:
 
@@ -41,7 +44,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from conftest import beam_edge_cloud, mixed_scan, spaced_fov  # noqa: E402
+from conftest import beam_edge_cloud, far_cloud, mixed_scan, spaced_fov  # noqa: E402
 from ddfe.augment import (  # noqa: E402
     AugmentConfig,
     beam_sample,
@@ -69,6 +72,7 @@ from ddfe.sensors import (  # noqa: E402
 )
 from ddfe.simulate import make_dataset  # noqa: E402
 from ddfe.stats import DensityReservoir  # noqa: E402
+from ddfe.voxels import voxelize  # noqa: E402
 
 SIM64 = SensorConfig("sim64", 512, 64, -25.0, 3.0)
 SIM32 = SensorConfig("sim32", 512, 32, -25.0, 3.0)
@@ -99,6 +103,8 @@ def checkpoint_digest() -> str:
                     digest.update(array.tobytes())
             if not flags:
                 full = model
+            if flags == {"use_attention": False}:
+                no_attention = model
     proj = ProjectionParams()
     waymo = PRESETS["waymo"]
     cloud, _ = make_dataset(1, waymo, seed=7)[0]
@@ -106,6 +112,9 @@ def checkpoint_digest() -> str:
     digest.update(point_predictions(scene, full).tobytes())
     for features in forward_encoded(scene, full.params, full.clip):
         digest.update(features.data.tobytes())
+    cloud, _ = make_dataset(1, SIM64, seed=7)[0]
+    scene = encode_scene(cloud, beam_profile(SIM64, proj), proj, no_attention.config.voxel_size)
+    digest.update(point_predictions(scene, no_attention).tobytes())
     for sensor in PRESETS.values():
         cloud, _ = make_dataset(1, sensor, seed=7)[0]
         digest.update(density_for_cloud(beam_profile(sensor, proj), cloud, proj).tobytes())
@@ -131,6 +140,9 @@ def checkpoint_digest() -> str:
     reservoir.update(density[:500])
     reservoir.update(density[500:])
     for array in (density, nearest_beam(cloud, kitti), reservoir.samples):
+        digest.update(array.tobytes())
+    grid = voxelize(far_cloud(), 0.2)
+    for array in (grid.cells, grid.centers, grid.point_to_voxel):
         digest.update(array.tobytes())
     return digest.hexdigest()
 

@@ -79,6 +79,21 @@ def recorded_pools(monkeypatch, cores):
 
 
 @functools.cache
+def far_cloud() -> np.ndarray:
+    """2,000 points over +-3e5 m on every axis: 500 spread ones (two of them
+    at the corners) and three copies nudged by up to 0.05 m, shuffled, so
+    cells repeat.  At 0.2 m voxels the cell spans (3e6 each) multiply past
+    2**63, so voxelize cannot key them and sorts them by np.lexsort."""
+    rng = np.random.default_rng(5)
+    spread = rng.uniform(-3e5, 3e5, size=(500, 3))
+    spread[:2] = [[-3e5] * 3, [3e5] * 3]
+    nudged = [spread + rng.uniform(-0.05, 0.05, size=spread.shape) for _ in range(3)]
+    cloud = rng.permutation(np.concatenate([spread, *nudged]))
+    cloud.flags.writeable = False
+    return cloud
+
+
+@functools.cache
 def mixed_scan() -> np.ndarray:
     """Two simulated semantickitti scans (seed 3) mixed as enhanced_mix3d
     mixes them under default_rng(0): 223,809 points, many row blocks."""

@@ -220,6 +220,28 @@ def test_blocked_forward_on_more_threads_than_cores(monkeypatch):
     assert pools == [8] * 3
 
 
+@pytest.mark.parametrize("use_attention", [True, False])
+def test_inference_on_a_pool_is_bitwise_inference_on_one_thread(monkeypatch, use_attention):
+    # several blocks of points, of voxels and of predictions
+    scene = _block_scene(6 * embedding.POINT_BLOCK)
+    assert scene.grid.num_voxels >= 2 * embedding.POINT_BLOCK
+    model = Model(_constant_params(use_attention=use_attention), _clip())
+
+    def run():
+        features = forward_encoded(scene, model.params, model.clip)
+        logits = forward_encoded(scene, model.params, model.clip, heads=True)
+        return ([t.data.tobytes() for t in (*features, *logits)]
+                + [point_predictions(scene, model).tobytes()])
+
+    pools = recorded_pools(monkeypatch, cores=2)
+    on_a_pool = run()
+    assert pools == [2, 2, 2]
+    for module in (parallel, embedding):
+        monkeypatch.setattr(module, "threads", lambda: 1)
+    assert run() == on_a_pool
+    assert pools == [2, 2, 2]
+
+
 def test_threads_count_cores_where_sched_getaffinity_is_missing(monkeypatch):
     # CPython on macOS and Windows has no os.sched_getaffinity
     set_blas_threads(monkeypatch, "1")
@@ -686,6 +708,21 @@ def test_train_config_file_round_trip(tmp_path):
     path.write_bytes(b"seed = 1\nepochs = \xe9\n")
     with pytest.raises(ValueError, match="non-ASCII byte at offset 18"):
         TrainConfig.from_file(path)
+
+
+@pytest.mark.parametrize("value", [4.5, 4.0, "4", None, True])
+def test_embedding_config_rejects_a_non_integer_class_count(value):
+    with pytest.raises(ValueError, match=f"num_classes must be an integer, got {value!r}"):
+        EmbeddingConfig(value, 0.2)
+    assert EmbeddingConfig(np.int64(4), 0.2).num_classes == 4
+
+
+@pytest.mark.parametrize("field", ["epochs", "batch_size", "seed", "num_classes"])
+@pytest.mark.parametrize("value", [1.5, 1.0, "1", None, True])
+def test_train_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        TrainConfig(**{field: value})
+    assert getattr(TrainConfig(**{field: np.int64(1)}), field) == 1
 
 
 def test_feature_similarity_matrix():

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import far_cloud
+
+from ddfe import voxels
 from ddfe.voxels import majority_label, voxel_offsets, voxelize
 
 # Multiples of 0.25 sit exactly on cell boundaries for the 0.25 and 0.5 sizes.
@@ -22,6 +25,13 @@ def _clouds(draw):
     base = draw(st.lists(st.tuples(_COORD, _COORD, _COORD), max_size=10))
     picks = draw(st.lists(st.sampled_from(base), max_size=40)) if base else []
     return np.array(picks, dtype=np.float64).reshape(-1, 3)
+
+
+# Every cell of a 2 x 5 x 3 box, shuffled: a sort key with the wrong radix
+# for these unequal spans would merge some of them.
+_UNEVEN_BOX = np.random.default_rng(4).permutation(
+    np.stack(np.meshgrid(range(2), range(-2, 3), range(3), indexing="ij"), -1).reshape(-1, 3)
+) + 0.5
 
 
 def _reference_partition(cloud, voxel_size):
@@ -67,6 +77,7 @@ def test_ordinals_follow_first_occurrence():
 @given(cloud=_clouds(), voxel_size=st.sampled_from([0.2, 0.25, 0.5]))
 @example(cloud=np.zeros((0, 3)), voxel_size=0.2)
 @example(cloud=np.array([[-0.25, 0.0, 0.5]]), voxel_size=0.25)
+@example(cloud=_UNEVEN_BOX, voxel_size=1.0)
 def test_voxelize_matches_first_occurrence_reference(cloud, voxel_size):
     cells, point_to_voxel = _reference_partition(cloud, voxel_size)
     grid = voxelize(cloud, voxel_size)
@@ -75,6 +86,49 @@ def test_voxelize_matches_first_occurrence_reference(cloud, voxel_size):
     assert grid.point_to_voxel.tolist() == point_to_voxel
     expected_centers = [[(k + 0.5) * voxel_size for k in c] for c in cells]
     assert grid.centers.tolist() == expected_centers
+
+
+def _lexsort_calls(monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+
+    def recording(keys):
+        calls.append(len(keys))
+        return lexsort(keys)
+
+    monkeypatch.setattr(voxels.np, "lexsort", recording)
+    return calls
+
+
+def test_a_cloud_too_wide_to_key_is_lexsorted_as_the_reference(monkeypatch):
+    cloud = far_cloud()
+    calls = _lexsort_calls(monkeypatch)
+    grid = voxelize(cloud, 0.2)
+    assert calls == [3]
+    cells, point_to_voxel = _reference_partition(cloud, 0.2)
+    assert 500 <= len(cells) < len(cloud)
+    assert grid.cells.tolist() == [list(c) for c in cells]
+    assert grid.point_to_voxel.tolist() == point_to_voxel
+    assert grid.centers.tolist() == [[(k + 0.5) * 0.2 for k in c] for c in cells]
+    # a key path cloud never reaches np.lexsort
+    voxelize(cloud / 10.0, 0.2)
+    assert calls == [3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cloud=_clouds(), voxel_size=st.sampled_from([0.2, 0.25, 0.5]),
+       offset=st.sampled_from([0.0, -1e15, 3e17]))
+def test_one_key_and_lexsort_give_equal_grids(cloud, voxel_size, offset):
+    cloud = cloud + offset  # far from the origin, the keys are still small
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _lexsort_calls(mp)
+        keyed = voxelize(cloud, voxel_size)
+        mp.setattr(voxels, "_KEY_LIMIT", 1)  # no key fits: always lexsort
+        sorted_by_columns = voxelize(cloud, voxel_size)
+    assert calls == [3]
+    for field in ("cells", "centers", "point_to_voxel"):
+        a, b = getattr(keyed, field), getattr(sorted_by_columns, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_offsets_examples_and_bound():
