@@ -11,10 +11,7 @@ trained and scored end to end at desk scale.
 
 from __future__ import annotations
 
-import numbers
 import typing
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -22,8 +19,9 @@ import numpy as np
 
 from . import nn
 from .beams import BeamProfile, beam_profile, density_for_cloud
-from .io import DENSITY_CHANNELS, LABEL_LIMIT, check_labels, parse_key_values, read_ascii
-from .parallel import ROW_BLOCK, run_blocks, thread_pool, threads
+from .io import (DENSITY_CHANNELS, LABEL_LIMIT, check_count, check_labels, parse_key_values,
+                 read_ascii)
+from .parallel import ROW_BLOCK, run_blocks, side_by_side, thread_pool, threads
 from .sensors import ProjectionParams, SensorConfig, spherical_of_cloud
 from .stats import ClipParams, DensityReservoir, fit_clip, soft_clip
 from .voxels import VoxelGrid, check_voxel_size, majority_label, voxel_offsets, voxelize
@@ -51,14 +49,6 @@ POINT_BLOCK = 8192
 RANGE_BIN_EDGES = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0)
 
 
-def _check_count(name: str, value, low: int) -> None:
-    """Raise unless value is an integer (not a bool) >= low, naming it as `name`."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
-
-
 @dataclass(frozen=True)
 class EmbeddingConfig:
     """Class count, voxel size and ablation switches; the one home of a model's
@@ -72,7 +62,7 @@ class EmbeddingConfig:
     use_density: bool = True    # off: density channels zeroed at the source
 
     def __post_init__(self):
-        _check_count("num_classes", self.num_classes, 1)
+        check_count("num_classes", self.num_classes, 1)
         if self.num_classes > LABEL_LIMIT:
             raise ValueError(f"num_classes must be <= {LABEL_LIMIT}, got {self.num_classes}")
         check_voxel_size(self.voxel_size)
@@ -149,11 +139,10 @@ def encode_scene(
 ) -> EncodedScene:
     """Voxel grid, center features, offsets and density of one cloud.
 
-    Where parallel.threads() is above one, the density is computed on a
-    second thread, as one block, while this one voxelizes the cloud;
-    otherwise after it.  Either
-    way voxelize's result comes first, so a non-finite point is named by
-    voxelize before an origin point is named by the density.
+    The density runs beside voxelize (parallel.side_by_side): on a pool's
+    thread, as one block, where threads() is above one; else after it, here.
+    Either way voxelize's result comes first, so a non-finite point is named
+    by voxelize before an origin point is named by the density.
     """
     cloud = np.asarray(cloud, dtype=np.float64)
 
@@ -161,18 +150,16 @@ def encode_scene(
         grid = voxelize(cloud, voxel_size)
         return grid, _center_features(grid.centers), voxel_offsets(grid, cloud)
 
-    if use_density and threads() > 1:
+    if use_density:
+        (grid, center_feats, offsets), density_raw = side_by_side(
+            geometry, partial(density_for_cloud, profile, cloud, proj))
         # A scene's arrays are made on this thread: left in a pool thread's
         # malloc arena for the scene's lifetime, they raised training's peak
         # RSS by 2-4 %.  So voxelize runs here and the density is copied here.
-        with thread_pool(1) as pool:
-            density_job = pool.submit(density_for_cloud, profile, cloud, proj)
-            grid, center_feats, offsets = geometry()
-            density_raw = density_job.result().copy(order="K")
+        density_raw = density_raw.copy(order="K")
     else:
         grid, center_feats, offsets = geometry()
-        density_raw = (density_for_cloud(profile, cloud, proj) if use_density
-                       else np.zeros((cloud.shape[0], profile.smooth_h.shape[0])))
+        density_raw = np.zeros((cloud.shape[0], profile.smooth_h.shape[0]))
     voxel_labels = None
     if labels is not None:
         labels = np.asarray(labels)
@@ -241,11 +228,12 @@ def _voxel_stream(scene: EncodedScene, params: EmbeddingParams, voxel_density: n
     return fused, nn.relu(nn.linear(fused, params["toy_head.w1"], params["toy_head.b1"]))
 
 
-def _in_blocks(pool: ThreadPoolExecutor | None, n: int, stage, widths: tuple[int, ...]):
-    """stage(rows) over rows [0, n): one call on slice(None) without a pool,
-    else in blocks of at least POINT_BLOCK rows on the pool, each writing its
-    rows of the outputs (of `widths` columns) in place."""
-    if pool is None:
+def _in_blocks(n: int, stage, widths: tuple[int, ...], taped: bool):
+    """stage(rows) over rows [0, n): one call on slice(None), tape and all,
+    with a tape, below two blocks of POINT_BLOCK rows or on one thread; else
+    in blocks (parallel.run_blocks), each writing its rows of the outputs (of
+    `widths` columns) in place."""
+    if taped or n // POINT_BLOCK < 2 or threads() == 1:
         return stage(slice(None))
     outs = [np.empty((n, width)) for width in widths]
 
@@ -253,23 +241,12 @@ def _in_blocks(pool: ThreadPoolExecutor | None, n: int, stage, widths: tuple[int
         for out, part in zip(outs, stage(rows)):
             out[rows] = part.data
 
-    run_blocks(n, POINT_BLOCK, run_block, pool)
+    run_blocks(n, POINT_BLOCK, run_block)
     return [nn.Tensor(out) for out in outs]
 
 
-def _inference_pool(scene: EncodedScene, params: EmbeddingParams):
-    """The pool the forward pass on `scene` runs on: min(point blocks,
-    threads()) workers on constant parameters, where that is two or more;
-    else a context of None, and everything runs whole on this thread."""
-    workers = min(scene.offsets.shape[0] // POINT_BLOCK, threads())
-    if workers < 2 or any(p.requires_grad for p in params.parameters()):
-        return nullcontext()
-    return thread_pool(workers)
-
-
 def forward_encoded(scene: EncodedScene, params: EmbeddingParams, clip: ClipParams | None,
-                    heads: bool = False, pool: ThreadPoolExecutor | None = None
-                    ) -> tuple[nn.Tensor, nn.Tensor]:
+                    heads: bool = False) -> tuple[nn.Tensor, nn.Tensor]:
     """Differentiable DDFE forward pass on a pre-encoded scene.
 
     Returns the (gated) point features and the fused voxel features: the
@@ -279,37 +256,38 @@ def forward_encoded(scene: EncodedScene, params: EmbeddingParams, clip: ClipPara
     clipped density of its points.  With heads, it returns the point
     classifier's (N, K) logits and the voxel head's (M, K) logits instead.
 
-    On constant parameters, the work runs on `pool`, a caller's
-    `_inference_pool`, or else on one built for the call.  The point stream
-    runs in row blocks of at least POINT_BLOCK rows, then the point
-    classifier on one worker while this thread takes the segment mean and
-    max, then the voxel stream (up to the voxel head's hidden layer) in
-    blocks of voxels.  A block's GEMMs give the same bits as the same rows of
-    the whole product; 4-output GEMMs do not, so the classifier and the voxel
-    head's last layer run whole.  With a tape, or on one thread, everything
-    runs whole on this thread.
+    On constant parameters, the point stream runs in row blocks of at least
+    POINT_BLOCK rows, then the point classifier beside this thread's segment
+    mean and max (parallel.side_by_side), then the voxel stream (up to the
+    voxel head's hidden layer) in blocks of at least POINT_BLOCK voxels.  A
+    block's GEMMs give the same bits as the same rows of the whole product;
+    4-output GEMMs do not, so the classifier and the voxel head's last layer
+    run whole.  With a tape, or on one thread, the streams run whole, and on
+    one thread everything runs on this thread.
     """
-    with nullcontext(pool) if pool is not None else _inference_pool(scene, params) as pool:
-        density, point_feats = _in_blocks(
-            pool, scene.offsets.shape[0], partial(_point_stream, scene, params, clip),
-            (DENSITY_CHANNELS, POINT_CHANNELS))
-        if heads:
-            classify = partial(nn.linear, point_feats, params["point_classifier.w"],
-                               params["point_classifier.b"])
-            point_logits = pool.submit(classify) if pool is not None else classify()
+    taped = any(p.requires_grad for p in params.parameters())
+    density, point_feats = _in_blocks(
+        scene.offsets.shape[0], partial(_point_stream, scene, params, clip),
+        (DENSITY_CHANNELS, POINT_CHANNELS), taped)
+
+    def pool_points():
         voxel_density = (nn.segment_mean(density, scene.segments)
                          if params.config.use_attention else None)
-        pooled = nn.segment_max(point_feats, scene.segments)
-        voxel_outs = _in_blocks(
-            pool, scene.grid.num_voxels,
-            partial(_voxel_stream, scene, params, voxel_density, pooled, heads=heads),
-            (FUSED_CHANNELS,) * (1 + heads))
-        if not heads:
-            return point_feats, voxel_outs[0]
-        voxel_logits = nn.linear(voxel_outs[1], params["toy_head.w2"], params["toy_head.b2"])
-        if pool is not None:
-            point_logits = point_logits.result()
-        return point_logits, voxel_logits
+        return voxel_density, nn.segment_max(point_feats, scene.segments)
+
+    jobs = [pool_points]
+    if heads:
+        jobs.append(partial(nn.linear, point_feats, params["point_classifier.w"],
+                            params["point_classifier.b"]))
+    (voxel_density, pooled), *point_logits = side_by_side(*jobs)
+    voxel_outs = _in_blocks(
+        scene.grid.num_voxels,
+        partial(_voxel_stream, scene, params, voxel_density, pooled, heads=heads),
+        (FUSED_CHANNELS,) * (1 + heads), taped)
+    if not heads:
+        return point_feats, voxel_outs[0]
+    voxel_logits = nn.linear(voxel_outs[1], params["toy_head.w2"], params["toy_head.b2"])
+    return point_logits[0], voxel_logits
 
 
 # --- training -------------------------------------------------------------
@@ -334,7 +312,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
-            _check_count(name, getattr(self, name), low)
+            check_count(name, getattr(self, name), low)
         for name in ("base_lr", "lr_decay"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
@@ -463,26 +441,26 @@ def train(
 def point_predictions(scene: EncodedScene, model: Model) -> np.ndarray:
     """Per-point class: argmax of point logits plus the voxel head's logits.
 
-    On the forward pass's pool (see `forward_encoded`), the sum and argmax
-    run in row blocks of at least parallel.ROW_BLOCK rows.
+    The forward pass runs as `forward_encoded` says; the sum and argmax run
+    in row blocks of at least parallel.ROW_BLOCK rows (parallel.run_blocks).
     """
     point_to_voxel = scene.grid.point_to_voxel
     pred = np.empty(point_to_voxel.shape[0], dtype=np.intp)
-    with _inference_pool(scene, model.params) as pool:
-        point_logits, voxel_logits = forward_encoded(scene, model.params, model.clip,
-                                                     heads=True, pool=pool)
+    point_logits, voxel_logits = forward_encoded(scene, model.params, model.clip, heads=True)
 
-        def predict(rows):
-            pred[rows] = np.argmax(point_logits.data[rows]
-                                   + voxel_logits.data[point_to_voxel[rows]], axis=1)
+    def predict(rows):
+        pred[rows] = np.argmax(point_logits.data[rows]
+                               + voxel_logits.data[point_to_voxel[rows]], axis=1)
 
-        run_blocks(pred.shape[0], ROW_BLOCK, predict, pool)
+    run_blocks(pred.shape[0], ROW_BLOCK, predict)
     return pred
 
 
 def confusion_matrix(pred: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
-    pred = np.asarray(pred)
-    labels = np.asarray(labels)
+    """Counts of (label, prediction) pairs; both pass `io.check_labels`, so an
+    entry outside [0, num_classes) raises, naming its index."""
+    pred = check_labels(pred, np.size(pred), num_classes)
+    labels = check_labels(labels, pred.size, num_classes)
     matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(matrix, (labels, pred), 1)
     return matrix

@@ -8,6 +8,7 @@ input with positional diagnostics instead of truncating silently.
 from __future__ import annotations
 
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,14 @@ def _check_rows(values, width: int, array: str, value: str, where: str) -> np.nd
     if not finite.all():
         raise ValueError(f"non-finite {value} at {where} {np.flatnonzero(~finite)[0] // width}")
     return values
+
+
+def check_count(name: str, value, low: int) -> None:
+    """Raise unless value is an integer (not a bool) >= low, naming it as `name`."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def check_cloud(cloud) -> np.ndarray:

@@ -1,11 +1,11 @@
-"""The thread rule and the row splitting that every parallel site shares.
+"""The thread rule and the two shapes of parallel work: row blocks, and jobs side by side.
 
 Work runs on threads only where BLAS runs on one thread: multi-threaded BLAS
-calls from two threads at once are slower.  Each call builds its own pool
-and shuts it down before it returns, so a forked child inherits no pool
-whose threads it lacks.  Code running on a pool's thread sees threads() == 1,
-so a job that splits its own work runs it there as one block, and no more
-threads are busy than threads() allows.
+calls from two threads at once are slower.  `run_blocks` and `side_by_side`
+each build a pool for the call and shut it down before they return, so no
+pool crosses a function boundary and a forked child inherits none.  On a
+pool's thread threads() == 1, so a job that splits its own work runs it there
+as one block, and no more threads are busy than threads() allows.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import os
 import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 
 # Fewest rows in a block of an elementwise row job.  A numpy call releases
 # the GIL only while it runs, so on smaller blocks two threads spend much of
@@ -52,21 +51,34 @@ def thread_pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, initializer=_mark_pool_thread)
 
 
-def run_blocks(n: int, floor: int, job: Callable[[slice], object],
-               pool: ThreadPoolExecutor | None = None) -> None:
+def run_blocks(n: int, floor: int, job: Callable[[slice], object]) -> None:
     """Call job(rows) on rows [0, n) split into max(1, n // floor) even blocks.
 
-    The blocks run in order on `pool`, or on a pool of min(blocks, threads())
-    threads built for the call; each is a slice(start, stop) of at least
-    min(n, floor) rows.  When there is one block, or the built pool would
-    have one thread, job runs once, on this thread, on slice(0, n).  A
-    block's exception is raised here, the earliest block's first.
+    The blocks run in order on a pool of min(blocks, threads()) threads built
+    for the call; each is a slice(start, stop) of at least min(n, floor)
+    rows.  When that pool would have one thread, job runs once, on this
+    thread, on slice(0, n).  A block's exception is raised here, the
+    earliest block's first.
     """
     blocks = max(1, n // floor)
-    workers = blocks if pool is not None else min(blocks, threads())
+    workers = min(blocks, threads())
     if workers == 1:
         job(slice(0, n))
         return
     edges = [n * i // blocks for i in range(blocks + 1)]
-    with nullcontext(pool) if pool is not None else thread_pool(workers) as pool:
+    with thread_pool(workers) as pool:
         list(pool.map(job, map(slice, edges[:-1], edges[1:])))
+
+
+def side_by_side(first: Callable[[], object], *rest: Callable[[], object]) -> list:
+    """[first(), *(job() for job in rest)]: `rest` on a pool of
+    min(len(rest), threads() - 1) threads built for the call while this thread
+    runs `first`, or one after another on this thread where that pool has no
+    thread.  The earliest job's exception is raised, once every started job
+    has ended."""
+    workers = min(len(rest), threads() - 1)
+    if workers < 1:
+        return [job() for job in (first, *rest)]
+    with thread_pool(workers) as pool:
+        futures = [pool.submit(job) for job in rest]
+        return [first(), *(future.result() for future in futures)]

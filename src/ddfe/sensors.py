@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import check_cloud, parse_key_values, read_ascii
+from .io import check_cloud, check_count, parse_key_values, read_ascii
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,10 +46,11 @@ class ProjectionParams:
 class SensorConfig:
     """Beam counts and vertical field of view of one LiDAR sensor.
 
-    Both field-of-view bounds lie in [-90, 90] degrees, the lower one below
-    the upper.  The beams fit the projection image's columns and rows, and
-    vertical beams lie MIN_BEAM_SPACING_DEG or more apart: code that reads
-    the beam grid relies on these rules.
+    Beam counts are integers of at least one.  Both field-of-view bounds lie
+    in [-90, 90] degrees, the lower one below the upper.  The beams fit the
+    projection image's columns and rows, and vertical beams lie
+    MIN_BEAM_SPACING_DEG or more apart: code that reads the beam grid relies
+    on these rules.
     """
 
     name: str
@@ -64,6 +65,8 @@ class SensorConfig:
                 f"beam counts must be >= 1, got h_beams={self.h_beams}, "
                 f"v_beams={self.v_beams}"
             )
+        for name in ("h_beams", "v_beams"):
+            check_count(name, getattr(self, name), 1)
         for name in ("fov_min_deg", "fov_max_deg"):
             if not -90.0 <= getattr(self, name) <= 90.0:  # NaN fails too
                 raise ValueError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import DENSITY_CHANNELS, check_density
+from .io import DENSITY_CHANNELS, check_count, check_density
 from .parallel import run_blocks
 
 RESERVOIR_CAPACITY = 1000
@@ -33,8 +33,8 @@ class DensityReservoir:
 
     def __init__(self, num_channels: int = DENSITY_CHANNELS,
                  capacity: int = RESERVOIR_CAPACITY, seed: int = 0):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        check_count("num_channels", num_channels, 1)
+        check_count("capacity", capacity, 1)
         self.capacity = capacity
         self.samples = np.empty((num_channels, capacity), dtype=np.float64)
         self.seen = 0

@@ -8,8 +8,9 @@ TrainConfig(epochs=2, seed=0))`, with BLAS on one thread.  Each run adds its
 checkpoint and, on the training scans and on the same worlds scanned by
 SIM32, the `evaluate` confusion matrix and the `binned_voxel_features` means
 and counts.  Then come the full model's `point_predictions` on one simulated
-waymo scan and both `forward_encoded` feature arrays on it (an argmax can
-hide a last-bit change in the features), the no-attention model's
+waymo scan, both `forward_encoded` feature arrays on it and the point and
+voxel logits of `forward_encoded(..., heads=True)` (an argmax can hide a
+last-bit change in the features or logits), the no-attention model's
 `point_predictions` on one simulated SIM64 scan, `density_for_cloud` on one
 simulated scan per sensor preset, and `enhanced_mix3d` -> `random_keep_set`
 -> `beam_sample` on the first two training scans under `default_rng(0)`,
@@ -28,8 +29,10 @@ or augmentation bit-identical must print the same digest as its base commit:
 
     PYTHONPATH=src python tests/checkpoint_digest.py
 
-The file name keeps it out of pytest's collection; CI runs it on the base
-and the head source trees and compares the two lines.
+The file name keeps it out of pytest's collection.  CI compares the head
+tree's line with the same tree's on one core (`taskset -c 0`, where every
+parallel site runs its serial schedule) on every push, and with the base
+tree's on each pull request.
 """
 
 import os
@@ -110,8 +113,9 @@ def checkpoint_digest() -> str:
     cloud, _ = make_dataset(1, waymo, seed=7)[0]
     scene = encode_scene(cloud, beam_profile(waymo, proj), proj, full.config.voxel_size)
     digest.update(point_predictions(scene, full).tobytes())
-    for features in forward_encoded(scene, full.params, full.clip):
-        digest.update(features.data.tobytes())
+    for heads in (False, True):
+        for array in forward_encoded(scene, full.params, full.clip, heads=heads):
+            digest.update(array.data.tobytes())
     cloud, _ = make_dataset(1, SIM64, seed=7)[0]
     scene = encode_scene(cloud, beam_profile(SIM64, proj), proj, no_attention.config.voxel_size)
     digest.update(point_predictions(scene, no_attention).tobytes())

@@ -217,7 +217,9 @@ def test_blocked_forward_on_more_threads_than_cores(monkeypatch):
             assert [g.data.tobytes() for g in got] == want
     finally:
         sys.setswitchinterval(interval)
-    assert pools == [8] * 3
+    # one pool per blocked stage and call: eight point blocks, then five voxel blocks
+    assert scene.grid.num_voxels // embedding.POINT_BLOCK == 5
+    assert pools == [8, 5] * 3
 
 
 @pytest.mark.parametrize("use_attention", [True, False])
@@ -235,11 +237,15 @@ def test_inference_on_a_pool_is_bitwise_inference_on_one_thread(monkeypatch, use
 
     pools = recorded_pools(monkeypatch, cores=2)
     on_a_pool = run()
-    assert pools == [2, 2, 2]
+    # One pool per stage: point blocks and voxel blocks for the features; the
+    # same with the classifier's one worker between them for the logits; the
+    # logits' three, then the argmax blocks, for the predictions.
+    per_stage = [2, 2] + [2, 1, 2] + [2, 1, 2, 2]
+    assert pools == per_stage
     for module in (parallel, embedding):
         monkeypatch.setattr(module, "threads", lambda: 1)
     assert run() == on_a_pool
-    assert pools == [2, 2, 2]
+    assert pools == per_stage
 
 
 def test_threads_count_cores_where_sched_getaffinity_is_missing(monkeypatch):
@@ -377,6 +383,17 @@ def test_iou_scores_examples():
     iou, miou = iou_scores(conf)
     assert iou[0] == 0.5 and iou[1] == 0.0
     assert miou == 0.25
+
+
+@pytest.mark.parametrize("pred,labels,message", [
+    ([0, 1], [-1, 1], "invalid label -1 at index 0"),
+    ([0, 1, 4], [0, 1, 2], "invalid label 4 at index 2"),
+    ([0, 1], [0, 1, 2], "label count 3 does not match point count 2"),
+    ([0.0, 1.0], [0, 1], "labels must be integer class ids"),
+])
+def test_confusion_matrix_names_a_bad_entry(pred, labels, message):
+    with pytest.raises(ValueError, match=message):
+        confusion_matrix(np.array(pred), np.array(labels), 4)
 
 
 def test_iou_ignores_classes_absent_from_ground_truth():

@@ -40,10 +40,16 @@ def test_presets_match_sensor_table():
 
 
 def test_config_invariants():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="beam counts must be >= 1, got h_beams=0, v_beams=64"):
         SensorConfig("bad", 0, 64, -10.0, 10.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="beam counts must be >= 1, got h_beams=64, v_beams=0"):
         SensorConfig("bad", 64, 0, -10.0, 10.0)
+    for h_beams, v_beams, message in ((2.5, 3, "h_beams must be an integer, got 2.5"),
+                                      (True, 3, "h_beams must be an integer, got True"),
+                                      (64, 3.0, "v_beams must be an integer, got 3.0")):
+        with pytest.raises(ValueError, match=message):
+            SensorConfig("bad", h_beams, v_beams, -10.0, 10.0)
+    assert SensorConfig("ok", np.int64(64), 3, -10.0, 10.0).h_beams == 64
     with pytest.raises(ValueError):
         SensorConfig("bad", 64, 64, 10.0, -10.0)
     with pytest.raises(KeyError):

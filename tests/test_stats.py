@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,18 @@ def test_capacity_is_fixed():
     _stream(res, np.random.default_rng(0).uniform(size=100_000))
     assert res.samples.shape == (4, 1000)
     assert res.seen == 100_000
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"capacity": 0}, "capacity must be >= 1, got 0"),
+    ({"capacity": 2.5}, "capacity must be an integer, got 2.5"),
+    ({"capacity": True}, "capacity must be an integer, got True"),
+    ({"num_channels": 0}, "num_channels must be >= 1, got 0"),
+    ({"num_channels": 4.0}, "num_channels must be an integer, got 4.0"),
+])
+def test_reservoir_sizes_are_integers_of_at_least_one(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DensityReservoir(**kwargs)
 
 
 def test_constant_stream_yields_constant_reservoir():
