@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import LABEL_LIMIT, check_cloud, check_labels
+from .io import LABEL_LIMIT, check_cloud, check_labels, check_real
 from .parallel import ROW_BLOCK, run_blocks
 from .sensors import SensorConfig, beam_inclinations, elevation_range_of_cloud
 
@@ -26,8 +26,7 @@ class AugmentConfig:
     keep_fractions = (0.5, 0.75)          # emulates 32- and 48-beam sensors from 64
 
     def __post_init__(self):
-        if not 0.0 <= self.apply_prob <= 1.0:
-            raise ValueError(f"apply_prob must be in [0, 1], got {self.apply_prob}")
+        check_real("apply_prob", self.apply_prob, 0, 1)
 
 
 def nearest_beam(cloud: np.ndarray, config: SensorConfig) -> np.ndarray:
@@ -87,8 +86,7 @@ def beam_sample(
 
 def rotate_yaw(cloud: np.ndarray, yaw: float) -> np.ndarray:
     """Rotate about +z by yaw; maps azimuth theta to (theta + yaw) mod 2pi."""
-    if not np.isfinite(yaw):
-        raise ValueError(f"yaw must be finite, got {yaw}")
+    check_real("yaw", yaw)
     cloud = check_cloud(cloud)
     c, s = np.cos(yaw), np.sin(yaw)
     out = np.empty_like(cloud)

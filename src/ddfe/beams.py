@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import DEFAULT_SIGMAS, check_cloud
+from .io import DEFAULT_SIGMAS, check_cloud, check_positive
 from .parallel import ROW_BLOCK, run_blocks
 from .sensors import (
     ProjectionParams,
@@ -43,8 +43,7 @@ class BeamProfile:
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Sum-normalized 1-D Gaussian truncated at +/- 4 sigma."""
-    if not 0.0 < sigma < np.inf:
-        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+    check_positive("sigma", sigma)
     radius = int(math.ceil(4.0 * sigma))
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-0.5 * (t / sigma) ** 2)

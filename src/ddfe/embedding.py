@@ -11,6 +11,7 @@ trained and scored end to end at desk scale.
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -19,12 +20,12 @@ import numpy as np
 
 from . import nn
 from .beams import BeamProfile, beam_profile, density_for_cloud
-from .io import (DENSITY_CHANNELS, LABEL_LIMIT, check_count, check_labels, parse_key_values,
-                 read_ascii)
+from .io import (DENSITY_CHANNELS, LABEL_LIMIT, check_count, check_labels, check_positive,
+                 parse_key_values, read_ascii)
 from .parallel import ROW_BLOCK, run_blocks, side_by_side, thread_pool, threads
 from .sensors import ProjectionParams, SensorConfig, spherical_of_cloud
 from .stats import ClipParams, DensityReservoir, fit_clip, soft_clip
-from .voxels import VoxelGrid, check_voxel_size, majority_label, voxel_offsets, voxelize
+from .voxels import VoxelGrid, majority_label, voxel_offsets, voxelize
 
 
 # Fixed input conditioning: ranges are fed in units of 25 m, intra-voxel
@@ -53,7 +54,7 @@ RANGE_BIN_EDGES = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.
 class EmbeddingConfig:
     """Class count, voxel size and ablation switches; the one home of a model's
     rules: num_classes an integer in [1, io.LABEL_LIMIT] (no label file holds a larger
-    id) and a voxel size that passes `check_voxel_size`.  Training without
+    id) and a voxel size that passes `io.check_positive`.  Training without
     the density clip leaves the model's clip at None."""
 
     num_classes: int = 4
@@ -65,7 +66,7 @@ class EmbeddingConfig:
         check_count("num_classes", self.num_classes, 1)
         if self.num_classes > LABEL_LIMIT:
             raise ValueError(f"num_classes must be <= {LABEL_LIMIT}, got {self.num_classes}")
-        check_voxel_size(self.voxel_size)
+        check_positive("voxel_size", self.voxel_size)
 
 
 class EmbeddingParams:
@@ -314,8 +315,14 @@ class TrainConfig:
         for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             check_count(name, getattr(self, name), low)
         for name in ("base_lr", "lr_decay"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+            check_positive(name, getattr(self, name))
+        last = self.epochs - 1  # the largest rate when lr_decay > 1
+        try:
+            overflow = math.isinf(nn.lr_schedule(last, self.base_lr, self.lr_decay))
+        except OverflowError:  # float ** int raises where float * float gives inf
+            overflow = True
+        if overflow:
+            raise ValueError(f"learning rate overflows at epoch {last}")
         EmbeddingConfig(self.num_classes, self.voxel_size)  # the model's own rules
 
     @classmethod

@@ -41,6 +41,25 @@ def check_count(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
+def _check_scalar(name: str, value, holds, rule: str) -> None:
+    """Raise unless value is a finite real (not a bool) for which holds(value).  Compares
+    with inf rather than calling math.isfinite, which overflows on a huge int."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and -math.inf < value < math.inf and holds(value)):
+        raise ValueError(f"{name} must be {rule}, got {value if real else repr(value)}")
+
+
+def check_real(name: str, value, low=-math.inf, high=math.inf) -> None:
+    """Raise unless value is a finite real (not a bool) in [low, high], naming it as `name`."""
+    bounds = "" if (low, high) == (-math.inf, math.inf) else f" and in [{low}, {high}]"
+    _check_scalar(name, value, lambda v: low <= v <= high, "finite" + bounds)
+
+
+def check_positive(name: str, value) -> None:
+    """Raise unless value is a finite real (not a bool) > 0, naming it as `name`."""
+    _check_scalar(name, value, lambda v: v > 0, "finite and > 0")
+
+
 def check_cloud(cloud) -> np.ndarray:
     """Return the cloud as (N, 3) float64; a NaN or inf raises, naming its point index."""
     return _check_rows(cloud, 3, "cloud", "coordinates", "point index")

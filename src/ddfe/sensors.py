@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import check_cloud, check_count, parse_key_values, read_ascii
+from .io import check_cloud, check_count, check_positive, check_real, parse_key_values, read_ascii
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,17 +60,10 @@ class SensorConfig:
     fov_max_deg: float
 
     def __post_init__(self):
-        if self.h_beams < 1 or self.v_beams < 1:
-            raise ValueError(
-                f"beam counts must be >= 1, got h_beams={self.h_beams}, "
-                f"v_beams={self.v_beams}"
-            )
         for name in ("h_beams", "v_beams"):
             check_count(name, getattr(self, name), 1)
         for name in ("fov_min_deg", "fov_max_deg"):
-            if not -90.0 <= getattr(self, name) <= 90.0:  # NaN fails too
-                raise ValueError(
-                    f"{name} must be finite and in [-90, 90] degrees, got {getattr(self, name)}")
+            check_real(name, getattr(self, name), -90, 90)
         if not self.fov_min_deg < self.fov_max_deg:
             raise ValueError(
                 f"fov_min_deg ({self.fov_min_deg}) must be below "
@@ -119,11 +112,9 @@ class SphericalCoords:
     range: float
 
     def __post_init__(self):
-        for name in ("azimuth", "elevation", "range"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.range > 0:
-            raise ValueError(f"range must be positive, got {self.range}")
+        check_real("azimuth", self.azimuth)
+        check_real("elevation", self.elevation)
+        check_positive("range", self.range)
 
 
 def beam_inclinations(config: SensorConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .io import check_count
 from .sensors import SensorConfig, beam_inclinations
 
 # Class table for generated scenes.
@@ -201,7 +202,7 @@ def make_dataset(
     so the same seed scanned with two configs yields a cross-sensor pair of
     the same world.
     """
-    if n_scenes < 1:
-        raise ValueError(f"n_scenes must be >= 1, got {n_scenes}")
+    check_count("n_scenes", n_scenes, 1)
+    check_count("seed", seed, 0)
     return [raycast_scan(random_scene(np.random.default_rng(seq)), config)
             for seq in np.random.SeedSequence(seed).spawn(n_scenes)]

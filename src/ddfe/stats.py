@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import DENSITY_CHANNELS, check_count, check_density
+from .io import DENSITY_CHANNELS, check_count, check_density, check_real
 from .parallel import run_blocks
 
 RESERVOIR_CAPACITY = 1000
@@ -35,6 +35,7 @@ class DensityReservoir:
                  capacity: int = RESERVOIR_CAPACITY, seed: int = 0):
         check_count("num_channels", num_channels, 1)
         check_count("capacity", capacity, 1)
+        check_count("seed", seed, 0)
         self.capacity = capacity
         self.samples = np.empty((num_channels, capacity), dtype=np.float64)
         self.seen = 0
@@ -71,8 +72,7 @@ class DensityReservoir:
 
     def percentile(self, p: float) -> np.ndarray:
         """Nearest-rank percentile per channel: sorted sample [ceil(p/100*n)-1]."""
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
+        check_real("percentile", p, 0, 100)
         n = min(self.seen, self.capacity)
         if n == 0:
             raise ValueError("no density statistics")

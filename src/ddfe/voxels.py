@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import LABEL_LIMIT, check_cloud, check_labels
+from .io import LABEL_LIMIT, check_cloud, check_labels, check_positive
 
 _INT64_LIMIT = 2.0 ** 63  # cell indices must lie in [-2**63, 2**63)
 _KEY_LIMIT = 2 ** 63  # one-key sort: the product of the cell spans must lie below
@@ -29,12 +29,6 @@ class VoxelGrid:
         return self.cells.shape[0]
 
 
-def check_voxel_size(voxel_size: float, name: str = "voxel_size") -> None:
-    """Raise unless voxel_size is finite and > 0, naming it as `name`."""
-    if not 0.0 < voxel_size < np.inf:
-        raise ValueError(f"{name} must be finite and > 0, got {voxel_size}")
-
-
 def voxelize(cloud: np.ndarray, voxel_size: float) -> VoxelGrid:
     """Partition an (N, 3) cloud into cubic voxels represented by cell centers.
 
@@ -44,10 +38,11 @@ def voxelize(cloud: np.ndarray, voxel_size: float) -> VoxelGrid:
     (at 0.2 m, a cloud over about 420 km on every axis), np.lexsort sorts
     the three columns instead.
     """
-    check_voxel_size(voxel_size)
+    check_positive("voxel_size", voxel_size)
     # Column-wise on a (3, N) copy: numpy reduces and slices an (N, 3) array's
     # columns several times slower.
-    scaled = np.floor(np.divide(check_cloud(cloud).T, voxel_size, order="C"))
+    with np.errstate(over="ignore"):  # a cell past int64 raises below, naming its point
+        scaled = np.floor(np.divide(check_cloud(cloud).T, voxel_size, order="C"))
     lo, hi = (scaled.min(axis=1), scaled.max(axis=1)) if scaled.size else (np.zeros(3),) * 2
     if lo.min() < -_INT64_LIMIT or hi.max() >= _INT64_LIMIT:
         fits = ((scaled >= -_INT64_LIMIT) & (scaled < _INT64_LIMIT)).all(axis=0)

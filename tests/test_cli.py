@@ -211,7 +211,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     for prob in ("2", "-0.5", "nan"):
         assert run(["augment", "--sensor", "nuscenes", "--input", missing,
                     "--mix", missing, "--prob", prob, "--out", str(tmp_path)]) == 1
-        assert "apply_prob must be in [0, 1]" in capsys.readouterr().err
+        assert "apply_prob must be finite and in [0, 1]" in capsys.readouterr().err
 
 
 def test_classes_beyond_the_label_limit_is_a_usage_error(tmp_path, capsys):
@@ -230,9 +230,27 @@ def test_sensor_file_with_an_infinite_fov_bound_is_rejected(tmp_path, capsys):
     out = tmp_path / "d.f32"
     assert run(["density", "--sensor", str(sensor), "--input", str(scan),
                 "--out", str(out)]) == 2
-    assert "fov_min_deg must be finite and in [-90, 90] degrees, got -inf" \
+    assert "fov_min_deg must be finite and in [-90, 90], got -inf" \
         in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_overflowing_learning_rate_exits_2_without_a_traceback(tmp_path):
+    sensor = tmp_path / "sim8.cfg"
+    sensor.write_text(_sensor_text("sim8", 8))
+    scans = _simulate(tmp_path, str(sensor), scenes=2)
+    config = tmp_path / "t.cfg"
+    config.write_text("lr_decay = 1e200\nbase_lr = 1e-300\nepochs = 3\n")
+    model = tmp_path / "m.ckpt"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "ddfe", "train", "--sensor", str(sensor),
+                           "--data", scans, "--config", str(config), "--out", str(model)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 2
+    assert "data error: learning rate overflows at epoch 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "epoch" not in proc.stdout
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("field,count,limit", [("h_beams", 10**8, "5120 columns"),

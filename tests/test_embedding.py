@@ -742,6 +742,15 @@ def test_train_config_rejects_non_integer_counts(field, value):
     assert getattr(TrainConfig(**{field: np.int64(1)}), field) == 1
 
 
+def test_train_config_rejects_a_schedule_that_overflows():
+    # 1e200 ** 2 raises OverflowError; 1e10 * 1e300 is inf without one
+    for epochs, base_lr, lr_decay in ((3, 1e-300, 1e200), (2, 1e10, 1e300), (2, 0.01, 10**400)):
+        with pytest.raises(ValueError, match=f"^learning rate overflows at epoch {epochs - 1}$"):
+            TrainConfig(epochs=epochs, base_lr=base_lr, lr_decay=lr_decay)
+    hyper = TrainConfig(epochs=2, base_lr=1e-300, lr_decay=1e200)
+    assert nn.lr_schedule(hyper.epochs - 1, hyper.base_lr, hyper.lr_decay) == 1e-300 * 1e200
+
+
 def test_feature_similarity_matrix():
     a = np.array([[0.0, 0.0], [1.0, 0.0]])
     b = np.array([[0.0, 0.0], [0.0, 2.0]])

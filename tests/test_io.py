@@ -1,14 +1,15 @@
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddfe import io as dio
 from ddfe import nn
-from ddfe.augment import AugmentConfig, beam_sample, enhanced_mix3d
-from ddfe.beams import beam_profile, density_for_cloud
+from ddfe.augment import AugmentConfig, beam_sample, enhanced_mix3d, rotate_yaw
+from ddfe.beams import beam_profile, density_for_cloud, gaussian_kernel
 from ddfe.embedding import (
     EmbeddingConfig,
     EmbeddingParams,
@@ -19,7 +20,9 @@ from ddfe.embedding import (
     evaluate,
     train,
 )
-from ddfe.sensors import ProjectionParams, SensorConfig, spherical_of_cloud
+from ddfe.sensors import ProjectionParams, SensorConfig, SphericalCoords, spherical_of_cloud
+from ddfe.simulate import make_dataset
+from ddfe.stats import DensityReservoir
 from ddfe.voxels import majority_label, voxelize
 
 SIM = SensorConfig("sim16", 128, 16, -20.0, 4.0)
@@ -409,3 +412,59 @@ def test_check_labels_rejects_shape_count_and_dtype():
     with pytest.raises(ValueError, match="integer"):
         dio.check_labels(np.zeros(2), 2, 4)
     assert dio.check_labels([0, 3], 2, 4).dtype == np.int64
+
+
+# site -> (its field, call with a value, a finite value outside the field's range or None)
+_SCALAR_SITES = {
+    "voxelize": ("voxel_size", lambda v: voxelize(np.zeros((1, 3)), v), 0.0),
+    "EmbeddingConfig": ("voxel_size", lambda v: EmbeddingConfig(4, v), -0.2),
+    "TrainConfig.base_lr": ("base_lr", lambda v: TrainConfig(base_lr=v), 0.0),
+    "TrainConfig.lr_decay": ("lr_decay", lambda v: TrainConfig(lr_decay=v), -0.5),
+    "gaussian_kernel": ("sigma", gaussian_kernel, -1.0),
+    "SphericalCoords.range": ("range", lambda v: SphericalCoords(0.0, 0.0, v), 0.0),
+    "SphericalCoords.azimuth": ("azimuth", lambda v: SphericalCoords(v, 0.0, 1.0), None),
+    "SphericalCoords.elevation": ("elevation", lambda v: SphericalCoords(0.0, v, 1.0), None),
+    "rotate_yaw": ("yaw", lambda v: rotate_yaw(np.zeros((1, 3)), v), None),
+    "SensorConfig.fov_min_deg": ("fov_min_deg", lambda v: SensorConfig("s", 64, 64, v, 10), -91),
+    "SensorConfig.fov_max_deg": ("fov_max_deg", lambda v: SensorConfig("s", 64, 64, -10, v), 91),
+    "AugmentConfig": ("apply_prob", lambda v: AugmentConfig(apply_prob=v), 1.5),
+    "DensityReservoir.percentile": ("percentile", lambda v: DensityReservoir().percentile(v), -0.5),
+    "SensorConfig.h_beams": ("h_beams", lambda v: SensorConfig("s", v, 64, -10.0, 10.0), 0),
+    "SensorConfig.v_beams": ("v_beams", lambda v: SensorConfig("s", 64, v, -10.0, 10.0), 0),
+    "DensityReservoir.seed": ("seed", lambda v: DensityReservoir(seed=v), -1),
+    "make_dataset.n_scenes": ("n_scenes", lambda v: make_dataset(v, SIM, 0), 0),
+    "make_dataset.seed": ("seed", lambda v: make_dataset(1, SIM, v), -1),
+}
+_NOT_A_FINITE_REAL = ("a", None, True, math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("site,value", [
+    (site, value) for site, (_, _, outside) in _SCALAR_SITES.items()
+    for value in _NOT_A_FINITE_REAL + (() if outside is None else (outside,))])
+def test_every_scalar_setting_raises_a_value_error_naming_its_field(site, value):
+    field, call, _ = _SCALAR_SITES[site]
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        call(value)
+
+
+def _accepts(gate, value) -> bool:
+    """Whether gate("x", value) returns; a ValueError must name the field."""
+    try:
+        gate("x", value)
+    except ValueError as exc:
+        assert str(exc).startswith("x must be finite")
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(), st.integers(), st.booleans(), st.text(), st.none()))
+@example(10**400)
+@example(-10**400)
+def test_real_gates_accept_exactly_the_finite_reals_in_range(value):
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    finite = real and (isinstance(value, int) or math.isfinite(value))
+    assert _accepts(dio.check_real, value) == finite
+    assert _accepts(lambda name, v: dio.check_real(name, v, -90, 90), value) == (
+        finite and -90 <= value <= 90)
+    assert _accepts(dio.check_positive, value) == (finite and value > 0)

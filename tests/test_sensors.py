@@ -40,9 +40,9 @@ def test_presets_match_sensor_table():
 
 
 def test_config_invariants():
-    with pytest.raises(ValueError, match="beam counts must be >= 1, got h_beams=0, v_beams=64"):
+    with pytest.raises(ValueError, match="^h_beams must be >= 1, got 0$"):
         SensorConfig("bad", 0, 64, -10.0, 10.0)
-    with pytest.raises(ValueError, match="beam counts must be >= 1, got h_beams=64, v_beams=0"):
+    with pytest.raises(ValueError, match="^v_beams must be >= 1, got 0$"):
         SensorConfig("bad", 64, 0, -10.0, 10.0)
     for h_beams, v_beams, message in ((2.5, 3, "h_beams must be an integer, got 2.5"),
                                       (True, 3, "h_beams must be an integer, got True"),
@@ -60,7 +60,7 @@ def test_config_invariants():
 @pytest.mark.parametrize("field", ["fov_min_deg", "fov_max_deg"])
 def test_fov_bounds_must_be_finite_angles(tmp_path, field, bound):
     fov = {"fov_min_deg": -10.0, "fov_max_deg": 10.0, field: bound}
-    message = re.escape(f"{field} must be finite and in [-90, 90] degrees, got {bound}")
+    message = re.escape(f"{field} must be finite and in [-90, 90], got {bound}")
     with pytest.raises(ValueError, match=message):
         SensorConfig("bad", 64, 64, fov["fov_min_deg"], fov["fov_max_deg"])
     path = tmp_path / "bad.cfg"
@@ -175,13 +175,13 @@ def test_to_spherical_wraps_azimuth():
 def test_spherical_coords_positive_range():
     with pytest.raises(ValueError):
         SphericalCoords(0.0, 0.0, 0.0)
-    with pytest.raises(ValueError, match="^range must be positive, got -1.0$"):
+    with pytest.raises(ValueError, match="^range must be finite and > 0, got -1.0$"):
         SphericalCoords(0.0, 0.0, -1.0)
-    for args, field, value in (((math.nan, 0.0, 10.0), "azimuth", "nan"),
-                               ((0.0, -math.inf, 10.0), "elevation", "-inf"),
-                               ((0.0, 0.0, math.inf), "range", "inf"),
-                               ((0.0, 0.0, math.nan), "range", "nan")):
-        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+    for args, rule, value in (((math.nan, 0.0, 10.0), "azimuth must be finite", "nan"),
+                              ((0.0, -math.inf, 10.0), "elevation must be finite", "-inf"),
+                              ((0.0, 0.0, math.inf), "range must be finite and > 0", "inf"),
+                              ((0.0, 0.0, math.nan), "range must be finite and > 0", "nan")):
+        with pytest.raises(ValueError, match=f"^{rule}, got {value}$"):
             SphericalCoords(*args)
 
 

@@ -44,6 +44,9 @@ def test_capacity_is_fixed():
     ({"capacity": True}, "capacity must be an integer, got True"),
     ({"num_channels": 0}, "num_channels must be >= 1, got 0"),
     ({"num_channels": 4.0}, "num_channels must be an integer, got 4.0"),
+    ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"seed": True}, "seed must be an integer, got True"),
 ])
 def test_reservoir_sizes_are_integers_of_at_least_one(kwargs, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -223,6 +223,10 @@ def test_voxelize_errors():
         voxelize(np.array([[0.0, 0.0, 0.0], [1e20, 0.0, 0.0], [3e20, 0.0, 0.0]]), 0.2)
     with pytest.raises(ValueError, match="point index 0"):
         voxelize(np.array([[0.0, 2.0 ** 63, 0.0]]), 1.0)
+    # x / size overflows to inf: the check names the point, with no overflow warning first
+    for cloud, size in (([[1.0, 1.0, 1.0]], 1e-320), ([[1e308, 1.0, 1.0]], 0.2)):
+        with pytest.raises(ValueError, match="int64 range at point index 0"):
+            voxelize(np.array(cloud), size)
     assert voxelize(np.array([[0.0, 0.0, -2.0 ** 63]]), 1.0).cells.tolist() == [[0, 0, -2 ** 63]]
     grid = voxelize(np.zeros((2, 3)), 0.2)
     with pytest.raises(ValueError):
