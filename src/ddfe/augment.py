@@ -86,7 +86,7 @@ def beam_sample(
 
 def rotate_yaw(cloud: np.ndarray, yaw: float) -> np.ndarray:
     """Rotate about +z by yaw; maps azimuth theta to (theta + yaw) mod 2pi."""
-    check_real("yaw", yaw)
+    yaw = check_real("yaw", yaw)
     cloud = check_cloud(cloud)
     c, s = np.cos(yaw), np.sin(yaw)
     out = np.empty_like(cloud)

@@ -43,10 +43,11 @@ class BeamProfile:
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Sum-normalized 1-D Gaussian truncated at +/- 4 sigma."""
-    check_positive("sigma", sigma)
+    sigma = check_positive("sigma", sigma)
     radius = int(math.ceil(4.0 * sigma))
     t = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-0.5 * (t / sigma) ** 2)
+    with np.errstate(over="ignore"):  # sigma < 1 / float max: t / sigma is inf, exp gives 0
+        kernel = np.exp(-0.5 * (t / sigma) ** 2)
     return kernel / kernel.sum()
 
 
@@ -147,8 +148,9 @@ def point_density(
 ) -> np.ndarray:
     """Multi-scale beam density of one point, one value per scale."""
     out = np.empty((1, profile.smooth_h.shape[0]))
-    return _density(profile, np.array([coords.azimuth]), np.array([coords.elevation]),
-                    np.array([coords.range]), params, out)[0]
+    theta, phi, r = np.array([[coords.azimuth], [coords.elevation], [coords.range]],
+                             dtype=np.float64)
+    return _density(profile, theta, phi, r, params, out)[0]
 
 
 def density_for_cloud(
@@ -185,5 +187,5 @@ def band_center_density(
     range.  This is the natural operating point for comparing sensors.
     """
     mid_deg = 0.5 * (config.fov_min_deg + config.fov_max_deg)
-    coords = SphericalCoords(math.pi, math.radians(mid_deg), float(distance))
+    coords = SphericalCoords(math.pi, math.radians(mid_deg), distance)
     return point_density(profile, coords, params)

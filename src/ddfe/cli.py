@@ -174,20 +174,20 @@ def _cmd_density_match(args) -> None:
     if len(args.sensors) < 2:
         raise UsageError("report-density-match needs at least two --sensors")
     configs = [resolve_sensor(s) for s in args.sensors]
-    distances = np.asarray(args.distances, dtype=np.float64)
-    if not np.all((distances > 0) & (distances < np.inf)):
-        raise UsageError("--distances must be positive and finite")
     proj = ProjectionParams()
     profiles = [beam_profile(c, proj) for c in configs]
     # sigma=10 channel (index 0) at band-center angles.
-    table = np.array([
-        [band_center_density(p, c, proj, d)[0] for d in distances]
-        for c, p in zip(configs, profiles)
-    ])
+    try:  # a distance that SphericalCoords rejects as a range
+        table = np.array([
+            [band_center_density(p, c, proj, d)[0] for d in args.distances]
+            for c, p in zip(configs, profiles)
+        ])
+    except ValueError as exc:
+        raise UsageError(f"--distances: {exc}") from None
     header = "distance_m " + " ".join(f"{c.name:>14s}" for c in configs)
     print("band-center density (sigma=10 channel):")
     print(header)
-    for j, d in enumerate(distances):
+    for j, d in enumerate(args.distances):
         print(f"{d:10.1f} " + " ".join(f"{table[i, j]:14.6g}" for i in range(len(configs))))
     print()
     print("matched-distance pairs (nearest density):")
@@ -195,16 +195,14 @@ def _cmd_density_match(args) -> None:
         for b in range(len(configs)):
             if a == b:
                 continue
-            for j, d in enumerate(distances):
+            for j, d in enumerate(args.distances):
                 k = int(np.argmin(np.abs(table[b] - table[a, j])))
                 ratio = table[a, j] / table[b, k]
                 print(f"  {configs[a].name}@{d:g}m ~ {configs[b].name}"
-                      f"@{distances[k]:g}m  ratio={ratio:.4f}")
+                      f"@{args.distances[k]:g}m  ratio={ratio:.4f}")
 
 
 def _cmd_feature_similarity(args) -> None:
-    if len(args.sensors) != 2:
-        raise UsageError("report-feature-similarity needs exactly two --sensors")
     configs = [resolve_sensor(s) for s in args.sensors]
     model = model_from_tensors(ddfe_io.load_checkpoint(args.model))
     means = []

@@ -138,9 +138,10 @@ def encode_scene(
     labels: np.ndarray | None = None,
     use_density: bool = True,
 ) -> EncodedScene:
-    """Voxel grid, center features, offsets and density of one cloud.
+    """Voxel grid, center features, offsets and raw density of one cloud; the
+    density is zeros of the same shape without use_density.
 
-    The density runs beside voxelize (parallel.side_by_side): on a pool's
+    The density job runs beside voxelize (parallel.side_by_side): on a pool's
     thread, as one block, where threads() is above one; else after it, here.
     Either way voxelize's result comes first, so a non-finite point is named
     by voxelize before an origin point is named by the density.
@@ -151,16 +152,13 @@ def encode_scene(
         grid = voxelize(cloud, voxel_size)
         return grid, _center_features(grid.centers), voxel_offsets(grid, cloud)
 
-    if use_density:
-        (grid, center_feats, offsets), density_raw = side_by_side(
-            geometry, partial(density_for_cloud, profile, cloud, proj))
-        # A scene's arrays are made on this thread: left in a pool thread's
-        # malloc arena for the scene's lifetime, they raised training's peak
-        # RSS by 2-4 %.  So voxelize runs here and the density is copied here.
-        density_raw = density_raw.copy(order="K")
-    else:
-        grid, center_feats, offsets = geometry()
-        density_raw = np.zeros((cloud.shape[0], profile.smooth_h.shape[0]))
+    density = (partial(density_for_cloud, profile, cloud, proj) if use_density
+               else lambda: np.zeros((cloud.shape[0], profile.smooth_h.shape[0])))
+    (grid, center_feats, offsets), density_raw = side_by_side(geometry, density)
+    # A scene's arrays are made on this thread: left in a pool thread's
+    # malloc arena for the scene's lifetime, they raised training's peak
+    # RSS by 2-4 %.  So voxelize runs here and the density is copied here.
+    density_raw = density_raw.copy(order="K")
     voxel_labels = None
     if labels is not None:
         labels = np.asarray(labels)
@@ -193,19 +191,20 @@ def _encoded_dataset(dataset: list[tuple[np.ndarray, np.ndarray]],
 
 
 def _point_stream(scene: EncodedScene, params: EmbeddingParams, clip: ClipParams | None,
-                  rows: slice) -> tuple[nn.Tensor, nn.Tensor]:
-    """The row-wise half of the forward pass on scene rows `rows`: the scaled
-    (clipped) density and the (gated) point features."""
+                  rows: slice) -> tuple[nn.Tensor, ...]:
+    """The row-wise half of the forward pass on scene rows `rows`: the point
+    features alone with attention off; with attention on, the gated point
+    features and the scaled (clipped) density that gates them."""
+    point_feats = params._mlp2(
+        nn.Tensor(scene.offsets[rows] * (2.0 / params.config.voxel_size)), "point_head")
+    if not params.config.use_attention:
+        return (point_feats,)
     density = scene.density_raw[rows]
     if clip is not None:
         density = soft_clip(density, clip)
     density = nn.Tensor(density * DENSITY_SCALE)
-    point_feats = params._mlp2(
-        nn.Tensor(scene.offsets[rows] * (2.0 / params.config.voxel_size)), "point_head")
-    if params.config.use_attention:
-        point_gate = nn.sigmoid(params._mlp2(density, "attn_point"))
-        point_feats = nn.multiply(point_gate, point_feats)
-    return density, point_feats
+    point_gate = nn.sigmoid(params._mlp2(density, "attn_point"))
+    return nn.multiply(point_gate, point_feats), density
 
 
 def _rows(x: nn.Tensor, rows: slice) -> nn.Tensor:
@@ -214,19 +213,19 @@ def _rows(x: nn.Tensor, rows: slice) -> nn.Tensor:
 
 
 def _voxel_stream(scene: EncodedScene, params: EmbeddingParams, voxel_density: nn.Tensor | None,
-                  pooled: nn.Tensor, rows: slice, heads: bool) -> tuple[nn.Tensor, ...]:
-    """The voxel-wise rest of the forward pass on voxel rows `rows`: the fused
-    features and, with heads, the voxel head's hidden layer.  The voxel gate
-    sees `voxel_density` unless it is None."""
+                  pooled: nn.Tensor, rows: slice, heads: bool) -> tuple[nn.Tensor]:
+    """The voxel-wise rest of the forward pass on voxel rows `rows`, as a
+    1-tuple: the fused features, or with heads the voxel head's hidden layer
+    over them.  The voxel gate sees `voxel_density` unless it is None."""
     voxel_feats = params._mlp2(nn.Tensor(scene.center_feats[rows]), "voxel_mlp")
     if voxel_density is not None:
         voxel_gate = nn.sigmoid(params._mlp2(_rows(voxel_density, rows), "attn_voxel"))
         voxel_feats = nn.multiply(voxel_gate, voxel_feats)
-    fused = nn.linear(nn.concat([voxel_feats, _rows(pooled, rows)], axis=1),
-                      params["fuse.w"], params["fuse.b"])
-    if not heads:
-        return (fused,)
-    return fused, nn.relu(nn.linear(fused, params["toy_head.w1"], params["toy_head.b1"]))
+    out = nn.linear(nn.concat([voxel_feats, _rows(pooled, rows)], axis=1),
+                    params["fuse.w"], params["fuse.b"])
+    if heads:
+        out = nn.relu(nn.linear(out, params["toy_head.w1"], params["toy_head.b1"]))
+    return (out,)
 
 
 def _in_blocks(n: int, stage, widths: tuple[int, ...], taped: bool):
@@ -267,13 +266,12 @@ def forward_encoded(scene: EncodedScene, params: EmbeddingParams, clip: ClipPara
     one thread everything runs on this thread.
     """
     taped = any(p.requires_grad for p in params.parameters())
-    density, point_feats = _in_blocks(
+    point_feats, *density = _in_blocks(
         scene.offsets.shape[0], partial(_point_stream, scene, params, clip),
-        (DENSITY_CHANNELS, POINT_CHANNELS), taped)
+        (POINT_CHANNELS, DENSITY_CHANNELS)[:1 + params.config.use_attention], taped)
 
     def pool_points():
-        voxel_density = (nn.segment_mean(density, scene.segments)
-                         if params.config.use_attention else None)
+        voxel_density = nn.segment_mean(density[0], scene.segments) if density else None
         return voxel_density, nn.segment_max(point_feats, scene.segments)
 
     jobs = [pool_points]
@@ -284,11 +282,10 @@ def forward_encoded(scene: EncodedScene, params: EmbeddingParams, clip: ClipPara
     voxel_outs = _in_blocks(
         scene.grid.num_voxels,
         partial(_voxel_stream, scene, params, voxel_density, pooled, heads=heads),
-        (FUSED_CHANNELS,) * (1 + heads), taped)
+        (FUSED_CHANNELS,), taped)
     if not heads:
         return point_feats, voxel_outs[0]
-    voxel_logits = nn.linear(voxel_outs[1], params["toy_head.w2"], params["toy_head.b2"])
-    return point_logits[0], voxel_logits
+    return point_logits[0], nn.linear(voxel_outs[0], params["toy_head.w2"], params["toy_head.b2"])
 
 
 # --- training -------------------------------------------------------------

@@ -41,23 +41,30 @@ def check_count(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
-def _check_scalar(name: str, value, holds, rule: str) -> None:
-    """Raise unless value is a finite real (not a bool) for which holds(value).  Compares
-    with inf rather than calling math.isfinite, which overflows on a huge int."""
+def _check_scalar(name: str, value, holds, rule: str) -> float:
+    """Return float(value); raise unless value is a real (not a bool) whose float
+    is finite and holds(float).  An int too large for a float is not finite."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and -math.inf < value < math.inf and holds(value)):
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:
+        number = math.nan
+    if not (math.isfinite(number) and holds(number)):
         raise ValueError(f"{name} must be {rule}, got {value if real else repr(value)}")
+    return number
 
 
-def check_real(name: str, value, low=-math.inf, high=math.inf) -> None:
-    """Raise unless value is a finite real (not a bool) in [low, high], naming it as `name`."""
+def check_real(name: str, value, low=-math.inf, high=math.inf) -> float:
+    """Return value as a float; raise unless it is a finite real (not a bool) in
+    [low, high], naming it as `name`."""
     bounds = "" if (low, high) == (-math.inf, math.inf) else f" and in [{low}, {high}]"
-    _check_scalar(name, value, lambda v: low <= v <= high, "finite" + bounds)
+    return _check_scalar(name, value, lambda v: low <= v <= high, "finite" + bounds)
 
 
-def check_positive(name: str, value) -> None:
-    """Raise unless value is a finite real (not a bool) > 0, naming it as `name`."""
-    _check_scalar(name, value, lambda v: v > 0, "finite and > 0")
+def check_positive(name: str, value) -> float:
+    """Return value as a float; raise unless it is a finite real (not a bool) > 0,
+    naming it as `name`."""
+    return _check_scalar(name, value, lambda v: v > 0, "finite and > 0")
 
 
 def check_cloud(cloud) -> np.ndarray:

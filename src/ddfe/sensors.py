@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .io import check_cloud, check_count, check_positive, check_real, parse_key_values, read_ascii
+from .io import check_cloud, check_count, check_real, parse_key_values, read_ascii
 
 TWO_PI = 2.0 * math.pi
 
@@ -105,7 +106,9 @@ def get_preset(name: str) -> SensorConfig:
 
 @dataclass(frozen=True)
 class SphericalCoords:
-    """One point in sensor-centric spherical coordinates (radians, meters): finite, range > 0."""
+    """One point in sensor-centric spherical coordinates (radians, meters): finite, and
+    range at least the least normal float, sys.float_info.min.  Every smoothed beam
+    value is <= 1, so the density sqrt(Bh * Bv) / range stays finite."""
 
     azimuth: float
     elevation: float
@@ -114,7 +117,7 @@ class SphericalCoords:
     def __post_init__(self):
         check_real("azimuth", self.azimuth)
         check_real("elevation", self.elevation)
-        check_positive("range", self.range)
+        check_real("range", self.range, sys.float_info.min)
 
 
 def beam_inclinations(config: SensorConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,7 @@ def voxelize(cloud: np.ndarray, voxel_size: float) -> VoxelGrid:
     (at 0.2 m, a cloud over about 420 km on every axis), np.lexsort sorts
     the three columns instead.
     """
-    check_positive("voxel_size", voxel_size)
+    voxel_size = check_positive("voxel_size", voxel_size)
     # Column-wise on a (3, N) copy: numpy reduces and slices an (N, 3) array's
     # columns several times slower.
     with np.errstate(over="ignore"):  # a cell past int64 raises below, naming its point

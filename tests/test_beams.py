@@ -140,6 +140,20 @@ def test_smooth_rejects_bad_sigma():
             gaussian_kernel(sigma)
 
 
+def test_a_sigma_below_one_over_float_max_is_a_unit_impulse():
+    # t / sigma overflows to inf off center; under the suite's error::RuntimeWarning
+    assert gaussian_kernel(1e-320).tolist() == [0.0, 1.0, 0.0]
+
+
+def test_band_center_density_is_finite_down_to_the_least_range():
+    waymo = get_preset("waymo")
+    density = band_center_density(PROFILES["waymo"], waymo, PP, sys.float_info.min)
+    assert np.isfinite(density).all() and density[0] > 1e307
+    with pytest.raises(ValueError, match=r"^range must be finite and in \[2.2250738585072014e-308, "
+                                         r"inf\], got 1e-320$"):
+        band_center_density(PROFILES["waymo"], waymo, PP, 1e-320)
+
+
 def test_sigma_support_nesting():
     profile = beam_profile(get_preset("nuscenes"), PP)
     for k in range(len(DEFAULT_SIGMAS) - 1):

@@ -190,10 +190,18 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run(["report-density-match", "--sensors", "waymo",
                 "--distances", "10"]) == 1
     capsys.readouterr()
-    for distance in ("-5", "0", "inf", "nan"):
+    # 1e-320 is positive, but below the least range whose density is finite
+    for distance in ("-5", "0", "1e-320", "inf", "nan"):
         assert run(["report-density-match", "--sensors", "waymo", "nuscenes",
                     "--distances", distance, "12"]) == 1
-        assert "--distances must be positive and finite" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --distances: range must be finite and in [")
+    for sensors, message in ((["a"], "expected 2 arguments"),
+                             (["a", "b", "c"], "unrecognized arguments: c")):
+        assert run(["report-feature-similarity", "--model", "m.ckpt", "--data", str(tmp_path),
+                    "--sensors", *sensors]) == 1
+        assert message in capsys.readouterr().err
     for scenes in ("0", "-2"):
         out = tmp_path / f"sim_{scenes}"
         assert run(["simulate", "--sensor", "nuscenes", "--scenes", scenes,

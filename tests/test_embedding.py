@@ -204,6 +204,31 @@ def test_blocked_forward_is_bitwise_the_reference_composition(
     assert pools == ([min(expected_blocks, 2)] if expected_blocks > 1 else [])
 
 
+@pytest.mark.parametrize("heads", [False, True])
+@pytest.mark.parametrize("use_attention", [True, False])
+def test_each_stream_fills_only_the_arrays_its_caller_reads(monkeypatch, heads, use_attention):
+    # the point stream's density only with attention on; one voxel output, with heads or not
+    widths = []
+    in_blocks = embedding._in_blocks
+
+    def recording(n, stage, stage_widths, taped):
+        widths.append(stage_widths)
+        outs = in_blocks(n, stage, stage_widths, taped)
+        assert [out.data.shape[1] for out in outs] == list(stage_widths)
+        return outs
+
+    monkeypatch.setattr(embedding, "_in_blocks", recording)
+    recorded_pools(monkeypatch, cores=2)
+    point = ((embedding.POINT_CHANNELS, dio.DENSITY_CHANNELS) if use_attention
+             else (embedding.POINT_CHANNELS,))
+    # in blocks of points and of voxels, then whole on a tape
+    for rows, params in ((6 * embedding.POINT_BLOCK, _constant_params(use_attention=use_attention)),
+                         (100, _params(seed=4, use_attention=use_attention))):
+        widths.clear()
+        forward_encoded(_block_scene(rows), params, _clip(), heads=heads)
+        assert widths == [point, (embedding.FUSED_CHANNELS,)]
+
+
 def test_blocked_forward_on_more_threads_than_cores(monkeypatch):
     # eight blocks on eight threads, switching often: each must write its own rows
     scene, params = _block_scene(8 * embedding.POINT_BLOCK), _constant_params()
@@ -743,8 +768,8 @@ def test_train_config_rejects_non_integer_counts(field, value):
 
 
 def test_train_config_rejects_a_schedule_that_overflows():
-    # 1e200 ** 2 raises OverflowError; 1e10 * 1e300 is inf without one
-    for epochs, base_lr, lr_decay in ((3, 1e-300, 1e200), (2, 1e10, 1e300), (2, 0.01, 10**400)):
+    # 1e200 ** 2 and 0.01 * 2**1200 raise OverflowError; 1e10 * 1e300 is inf without one
+    for epochs, base_lr, lr_decay in ((3, 1e-300, 1e200), (2, 1e10, 1e300), (3, 0.01, 2**600)):
         with pytest.raises(ValueError, match=f"^learning rate overflows at epoch {epochs - 1}$"):
             TrainConfig(epochs=epochs, base_lr=base_lr, lr_decay=lr_decay)
     hyper = TrainConfig(epochs=2, base_lr=1e-300, lr_decay=1e200)

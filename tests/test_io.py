@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ddfe import io as dio
 from ddfe import nn
 from ddfe.augment import AugmentConfig, beam_sample, enhanced_mix3d, rotate_yaw
-from ddfe.beams import beam_profile, density_for_cloud, gaussian_kernel
+from ddfe.beams import beam_profile, density_for_cloud, gaussian_kernel, point_density
 from ddfe.embedding import (
     EmbeddingConfig,
     EmbeddingParams,
@@ -415,7 +415,7 @@ def test_check_labels_rejects_shape_count_and_dtype():
 
 
 # site -> (its field, call with a value, a finite value outside the field's range or None)
-_SCALAR_SITES = {
+_REAL_SITES = {
     "voxelize": ("voxel_size", lambda v: voxelize(np.zeros((1, 3)), v), 0.0),
     "EmbeddingConfig": ("voxel_size", lambda v: EmbeddingConfig(4, v), -0.2),
     "TrainConfig.base_lr": ("base_lr", lambda v: TrainConfig(base_lr=v), 0.0),
@@ -429,22 +429,44 @@ _SCALAR_SITES = {
     "SensorConfig.fov_max_deg": ("fov_max_deg", lambda v: SensorConfig("s", 64, 64, -10, v), 91),
     "AugmentConfig": ("apply_prob", lambda v: AugmentConfig(apply_prob=v), 1.5),
     "DensityReservoir.percentile": ("percentile", lambda v: DensityReservoir().percentile(v), -0.5),
+}
+_COUNT_SITES = {
     "SensorConfig.h_beams": ("h_beams", lambda v: SensorConfig("s", v, 64, -10.0, 10.0), 0),
     "SensorConfig.v_beams": ("v_beams", lambda v: SensorConfig("s", 64, v, -10.0, 10.0), 0),
     "DensityReservoir.seed": ("seed", lambda v: DensityReservoir(seed=v), -1),
     "make_dataset.n_scenes": ("n_scenes", lambda v: make_dataset(v, SIM, 0), 0),
     "make_dataset.seed": ("seed", lambda v: make_dataset(1, SIM, v), -1),
 }
+_SCALAR_SITES = {**_REAL_SITES, **_COUNT_SITES}
 _NOT_A_FINITE_REAL = ("a", None, True, math.nan, math.inf, -math.inf)
 
 
+# An int past float range is not a finite real; a count site takes it as the
+# integer it is (make_dataset would try to build that many scenes).
 @pytest.mark.parametrize("site,value", [
     (site, value) for site, (_, _, outside) in _SCALAR_SITES.items()
-    for value in _NOT_A_FINITE_REAL + (() if outside is None else (outside,))])
+    for value in _NOT_A_FINITE_REAL + (() if outside is None else (outside,))] + [
+    pytest.param(site, sign * 10**400, id=f"{site}-{'-' * (sign < 0)}10**400")
+    for site in _REAL_SITES for sign in (1, -1)])
 def test_every_scalar_setting_raises_a_value_error_naming_its_field(site, value):
     field, call, _ = _SCALAR_SITES[site]
     with pytest.raises(ValueError, match=f"^{field} must be "):
         call(value)
+
+
+def test_an_int_setting_computes_as_its_float():
+    profile = beam_profile(SIM, PP)
+    for call in (lambda v: rotate_yaw(np.ones((2, 3)), v),
+                 lambda v: point_density(profile, SphericalCoords(0.0, 0.0, v), PP)):
+        assert call(2**70).tobytes() == call(float(2**70)).tobytes()
+
+
+def _float_is_finite(value) -> bool:
+    """Whether float(value) is finite; an int too large for a float is not."""
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
 
 
 def _accepts(gate, value) -> bool:
@@ -461,9 +483,11 @@ def _accepts(gate, value) -> bool:
 @given(st.one_of(st.floats(), st.integers(), st.booleans(), st.text(), st.none()))
 @example(10**400)
 @example(-10**400)
+@example(2**1024 - 2**970 - 1)  # the largest int float() rounds to a finite float
+@example(2**1024 - 2**970)
 def test_real_gates_accept_exactly_the_finite_reals_in_range(value):
     real = isinstance(value, (int, float)) and not isinstance(value, bool)
-    finite = real and (isinstance(value, int) or math.isfinite(value))
+    finite = real and _float_is_finite(value)
     assert _accepts(dio.check_real, value) == finite
     assert _accepts(lambda name, v: dio.check_real(name, v, -90, 90), value) == (
         finite and -90 <= value <= 90)
