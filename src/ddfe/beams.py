@@ -42,8 +42,16 @@ class BeamProfile:
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
-    """Sum-normalized 1-D Gaussian truncated at +/- 4 sigma."""
+    """Sum-normalized 1-D Gaussian truncated at +/- 4 sigma.
+
+    Its radius ceil(4 sigma) may not exceed the projection image's width, the
+    widest axis a kernel is ever applied to.
+    """
     sigma = check_positive("sigma", sigma)
+    width = ProjectionParams.width
+    if 4.0 * sigma > width:  # ceil(4 sigma) > width, but 4 sigma may be inf
+        raise ValueError(f"sigma must be <= {width / 4:g}, a kernel radius of at most the "
+                         f"projection image's {width} columns, got {sigma}")
     radius = int(math.ceil(4.0 * sigma))
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     with np.errstate(over="ignore"):  # sigma < 1 / float max: t / sigma is inf, exp gives 0

@@ -184,6 +184,11 @@ def _cmd_density_match(args) -> None:
         ])
     except ValueError as exc:
         raise UsageError(f"--distances: {exc}") from None
+    zeros = np.argwhere(table == 0)
+    if zeros.size:  # a pair's ratio would divide by it
+        i, j = zeros[0]
+        raise ValueError(f"sensor {configs[i].name!r} has band-center density 0 at "
+                         f"{args.distances[j]:g} m, so no density matches it")
     header = "distance_m " + " ".join(f"{c.name:>14s}" for c in configs)
     print("band-center density (sigma=10 channel):")
     print(header)

@@ -63,9 +63,7 @@ class EmbeddingConfig:
     use_density: bool = True    # off: density channels zeroed at the source
 
     def __post_init__(self):
-        check_count("num_classes", self.num_classes, 1)
-        if self.num_classes > LABEL_LIMIT:
-            raise ValueError(f"num_classes must be <= {LABEL_LIMIT}, got {self.num_classes}")
+        check_count("num_classes", self.num_classes, 1, LABEL_LIMIT)
         check_positive("voxel_size", self.voxel_size)
 
 
@@ -406,7 +404,7 @@ def train(
 
     def scene_step(idx, scale):
         loss = scene_loss(scenes[idx], params, clip, class_weights) * scale
-        return loss, loss.backward() if np.isfinite(loss.data) else None
+        return loss.data, loss.backward() if np.isfinite(loss.data) else None
 
     with thread_pool(min(hyper.batch_size, threads())) as pool:
         for epoch in range(hyper.epochs):
@@ -418,7 +416,7 @@ def train(
                 scale = 1.0 / batch.size
                 losses, scene_grads = zip(*pool.map(scene_step, batch, [scale] * batch.size))
                 # Summed in batch order, as one tape over the whole batch sums them.
-                total = sum((loss.data for loss in losses[1:]), losses[0].data)
+                total = sum(losses[1:], losses[0])
                 if not np.isfinite(total):
                     raise ValueError(
                         f"non-finite loss at epoch {epoch}, step {step}; training aborted"
@@ -429,10 +427,6 @@ def train(
                         grads[leaf] += g
                 optimizer.step(grads)
                 scene_loss_sum += float(total) * batch.size
-                # The batch's tapes are freed together, before the next batch.  Freed one
-                # scene at a time, glibc hands their pages back to the system and faults
-                # them in again, which made one-worker training about 10 % slower.
-                del losses
             if progress is not None:
                 progress(epoch, scene_loss_sum / len(scenes))
 

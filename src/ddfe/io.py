@@ -33,12 +33,27 @@ def _check_rows(values, width: int, array: str, value: str, where: str) -> np.nd
     return values
 
 
-def check_count(name: str, value, low: int) -> None:
-    """Raise unless value is an integer (not a bool) >= low, naming it as `name`."""
+def format_value(value) -> str:
+    """str(value) for a message, but an int past float range by its size:
+    str() of an int over 4,300 digits raises."""
+    if isinstance(value, numbers.Integral):
+        try:
+            float(value)
+        except OverflowError:
+            digits = round(abs(value).bit_length() * math.log10(2))
+            return f"{'a negative' if value < 0 else 'an'} int of about {digits} digits"
+    return str(value)
+
+
+def check_count(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise unless value is an integer (not a bool) in [low, high] (no upper
+    bound where high is None), naming it as `name`."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
+        raise ValueError(f"{name} must be >= {low}, got {format_value(value)}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {format_value(value)}")
 
 
 def _check_scalar(name: str, value, holds, rule: str) -> float:
@@ -50,7 +65,8 @@ def _check_scalar(name: str, value, holds, rule: str) -> float:
     except OverflowError:
         number = math.nan
     if not (math.isfinite(number) and holds(number)):
-        raise ValueError(f"{name} must be {rule}, got {value if real else repr(value)}")
+        shown = format_value(value) if real else repr(value)
+        raise ValueError(f"{name} must be {rule}, got {shown}")
     return number
 
 

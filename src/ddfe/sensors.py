@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import check_cloud, check_count, check_real, parse_key_values, read_ascii
+from .io import check_cloud, check_count, check_real, format_value, parse_key_values, read_ascii
 
 TWO_PI = 2.0 * math.pi
 
@@ -75,7 +75,7 @@ class SensorConfig:
                                         ("vertical", self.v_beams, image.height, "rows")):
             if count > size:
                 raise ValueError(
-                    f"sensor {self.name!r} has {count} {axis} beams, more than "
+                    f"sensor {self.name!r} has {format_value(count)} {axis} beams, more than "
                     f"the projection image's {size} {unit}")
         spacing = (self.fov_max_deg - self.fov_min_deg) / self.v_beams
         if self.v_beams > 1 and spacing < MIN_BEAM_SPACING_DEG:

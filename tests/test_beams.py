@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -138,6 +139,15 @@ def test_smooth_rejects_bad_sigma():
     for sigma in (math.inf, math.nan):
         with pytest.raises(ValueError, match=f"^sigma must be finite and > 0, got {sigma}$"):
             gaussian_kernel(sigma)
+
+
+def test_a_kernel_radius_is_at_most_the_projection_width():
+    # radius ceil(4 sigma) <= 5120; 1e9 would otherwise allocate 59.6 GiB
+    for sigma in (1e300, 1e9, 1280.001, sys.float_info.max):
+        with pytest.raises(ValueError, match=f"^sigma must be <= 1280, .* got {re.escape(str(sigma))}$"):
+            gaussian_kernel(sigma)
+    kernel = gaussian_kernel(1280)
+    assert kernel.size == 2 * 5120 + 1 and kernel.sum() == pytest.approx(1.0)
 
 
 def test_a_sigma_below_one_over_float_max_is_a_unit_impulse():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,8 +105,8 @@ def test_augment_deterministic(tmp_path, sim_cfg, capsys):
     for out in (out1, out2):
         assert run(["augment", "--sensor", sim_cfg, "--input", a, "--mix", b,
                     "--seed", "3", "--prob", "1.0", "--out", out]) == 0
-    f1 = open(os.path.join(out1, "000000_aug.bin"), "rb").read()
-    f2 = open(os.path.join(out2, "000000_aug.bin"), "rb").read()
+    f1 = Path(out1, "000000_aug.bin").read_bytes()
+    f2 = Path(out2, "000000_aug.bin").read_bytes()
     assert f1 == f2
     labels = dio.read_labels(os.path.join(out1, "000000_aug.label"),
                              len(f1) // 16)
@@ -122,14 +123,14 @@ def test_train_evaluate_and_reports(tmp_path, sim_cfg, capsys):
     report = str(tmp_path / "report.txt")
     assert run(["evaluate", "--sensor", sim_cfg, "--data", scans,
                 "--model", ckpt, "--report", report]) == 0
-    text = open(report).read()
+    text = Path(report).read_text()
     assert "mIoU" in text
 
     # rerunning training with the same seed gives a byte-identical checkpoint
     ckpt2 = str(tmp_path / "model2.ckpt")
     assert run(["train", "--sensor", sim_cfg, "--data", scans, "--epochs", "2",
                 "--seed", "0", "--out", ckpt2, "--quiet"]) == 0
-    assert open(ckpt, "rb").read() == open(ckpt2, "rb").read()
+    assert Path(ckpt).read_bytes() == Path(ckpt2).read_bytes()
 
 
 def test_train_ablation_flags(tmp_path, sim_cfg, capsys):
@@ -162,6 +163,19 @@ def test_report_density_match_prints_anchor_ratio(capsys):
     line = [l for l in out.splitlines() if l.strip().startswith("waymo@35m")][0]
     ratio = float(line.split("ratio=")[1])
     assert 0.8 <= ratio <= 1.25
+
+
+def test_report_density_match_rejects_a_sensor_of_zero_band_center_density(tmp_path, capsys):
+    # its one beam at 15 deg, its band center at -7 deg, beyond the smoothing
+    path = tmp_path / "high1.cfg"
+    path.write_text("name = high1\nh_beams = 128\nv_beams = 1\n"
+                    "fov_min_deg = -29\nfov_max_deg = 15\n")
+    assert run(["report-density-match", "--sensors", "waymo", str(path),
+                "--distances", "10", "20"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "data error: sensor 'high1' has band-center density 0 at 10 m, " \
+                  "so no density matches it\n"
 
 
 def test_report_feature_similarity(tmp_path, sim_cfg, capsys):

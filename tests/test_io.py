@@ -454,6 +454,18 @@ def test_every_scalar_setting_raises_a_value_error_naming_its_field(site, value)
         call(value)
 
 
+# str() of an int over 4,300 digits raises, so a message shows such an int by its size.
+@pytest.mark.parametrize("field,call", [
+    ("voxel_size", lambda v: voxelize(np.zeros((1, 3)), v)),
+    ("num_classes", lambda v: EmbeddingConfig(v, 0.2)),
+])
+@pytest.mark.parametrize("sign,size", [(1, "an"), (-1, "a negative")])
+def test_an_int_of_thousands_of_digits_is_shown_by_its_size(field, call, sign, size):
+    message = f"^{field} must be .+, got {size} int of about 5000 digits$"
+    with pytest.raises(ValueError, match=message):
+        call(sign * 10**5000)
+
+
 def test_an_int_setting_computes_as_its_float():
     profile = beam_profile(SIM, PP)
     for call in (lambda v: rotate_yaw(np.ones((2, 3)), v),
