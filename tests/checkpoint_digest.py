@@ -23,7 +23,10 @@ degrees) for each preset and for the closest grids `SensorConfig` accepts:
 `mixed_scan` (tests/conftest.py: two semantickitti scans mixed, 223,809
 points, so every job that splits rows into blocks runs many), and the
 grid `voxelize` makes of `far_cloud` at 0.2 m (tests/conftest.py: a cloud so
-wide that voxelize sorts it by np.lexsort).  A change that
+wide that voxelize sorts it by np.lexsort), and `segment_max`'s values and
+routed gradient on `3 * ROW_BLOCK + 5` rows of fixed features whose segments
+straddle the row-block edges, with +-0 and +-inf ties planted across them.
+A change that
 claims to keep training, evaluation, prediction, the feature report, density
 or augmentation bit-identical must print the same digest as its base commit:
 
@@ -66,7 +69,9 @@ from ddfe.embedding import (  # noqa: E402
     point_predictions,
     train,
 )
+from ddfe import nn  # noqa: E402
 from ddfe.io import save_checkpoint  # noqa: E402
+from ddfe.parallel import ROW_BLOCK  # noqa: E402
 from ddfe.sensors import (  # noqa: E402
     PRESETS,
     ProjectionParams,
@@ -88,6 +93,32 @@ RUNS = (
     {"use_attention": False},
     {"use_density": False},
 )
+
+
+def segment_max_case() -> tuple[np.ndarray, np.ndarray, int]:
+    """(x, segment ids, segment count) for segment_max: 3 * ROW_BLOCK + 5
+    rows of 16 channels over 1,000 interleaved segments, every one spanning
+    all four row blocks, and a fifth of the entries drawn from +-0, +-inf and
+    a repeated 1.5, so that maxima tie across blocks.  Around each block edge
+    four rows form a segment of their own, with ties split by the edge: +0
+    and -0 in alternation, +inf twice on each side, all -inf, and 1.5 on the
+    far side only."""
+    rng = np.random.default_rng(29)
+    n, d, m = 3 * ROW_BLOCK + 5, 16, 1000
+    x = rng.normal(size=(n, d))
+    special = rng.random((n, d)) < 0.2
+    x[special] = rng.choice([-np.inf, -0.0, 0.0, 1.5, np.inf], size=int(special.sum()))
+    seg = rng.permutation(np.arange(n) % m)
+    planted = np.array([[0.0, -0.0, 0.0, -0.0],
+                        [-0.0, 0.0, -0.0, 0.0],
+                        [np.inf, np.inf, np.inf, np.inf],
+                        [-np.inf, -np.inf, -np.inf, -np.inf],
+                        [-1.0, -1.0, 1.5, 1.5]]).T
+    for k, edge in enumerate(range(ROW_BLOCK, n, ROW_BLOCK)):
+        rows = slice(edge - 2, edge + 2)
+        seg[rows] = m + k
+        x[rows, :planted.shape[1]] = planted
+    return x, seg, m + k + 1
 
 
 def checkpoint_digest() -> str:
@@ -147,6 +178,15 @@ def checkpoint_digest() -> str:
         digest.update(array.tobytes())
     grid = voxelize(far_cloud(), 0.2)
     for array in (grid.cells, grid.centers, grid.point_to_voxel):
+        digest.update(array.tobytes())
+    x, seg, m = segment_max_case()
+    features = nn.Tensor(x, requires_grad=True)
+    pooled = nn.segment_max(features, nn.SegmentMap(seg, m))
+    # distinct coefficients signed as the maxima, so that no product is NaN
+    coeffs = np.copysign(np.arange(1.0, pooled.data.size + 1).reshape(pooled.shape),
+                         pooled.data)
+    grad = nn.tensor_sum(nn.multiply(pooled, nn.Tensor(coeffs))).backward()[features]
+    for array in (pooled.data, grad):
         digest.update(array.tobytes())
     return digest.hexdigest()
 
