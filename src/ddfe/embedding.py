@@ -41,9 +41,14 @@ VOXEL_CHANNELS = 16
 FUSED_CHANNELS = 32
 HIDDEN = 16
 
-# Fewest rows in a block of the point stream at inference.  A GEMM over a
-# block of one row can differ in its last bits from the same row of the
-# whole product; blocks this large match it bit for bit.
+# Fewest rows in a block of the point stream at inference; a wider stage's
+# blocks hold as many bytes (see _in_blocks).  Whether x @ W over a block of
+# rows gives the bits of the same rows of the whole product depends on the
+# OpenBLAS kernel.  Measured for 16- and 32-wide outputs: on SkylakeX every
+# block of two or more rows matches, and under OPENBLAS_CORETYPE=Haswell a
+# block of an odd row count does not, unless it ends at the last row.
+# 4-wide outputs of a 20,000-row product match no row-block split on
+# SkylakeX, so the 4-wide layers run whole.
 POINT_BLOCK = 8192
 
 # Voxel-center range bins of the feature report: 0-50 m in 5 m steps.
@@ -228,10 +233,13 @@ def _voxel_stream(scene: EncodedScene, params: EmbeddingParams, voxel_density: n
 
 def _in_blocks(n: int, stage, widths: tuple[int, ...], taped: bool):
     """stage(rows) over rows [0, n): one call on slice(None), tape and all,
-    with a tape, below two blocks of POINT_BLOCK rows or on one thread; else
-    in blocks (parallel.run_blocks), each writing its rows of the outputs (of
-    `widths` columns) in place."""
-    if taped or n // POINT_BLOCK < 2 or threads() == 1:
+    with a tape, below two blocks or on one thread; else in blocks
+    (parallel.run_blocks), each writing its rows of the outputs (of `widths`
+    columns) in place.  A block holds at least as many bytes as POINT_BLOCK
+    rows of POINT_CHANNELS: POINT_BLOCK * POINT_CHANNELS // max(widths) rows,
+    so a wider stage's temporaries stay as small as the point stream's."""
+    floor = POINT_BLOCK * POINT_CHANNELS // max(widths)
+    if taped or n // floor < 2 or threads() == 1:
         return stage(slice(None))
     outs = [np.empty((n, width)) for width in widths]
 
@@ -239,7 +247,7 @@ def _in_blocks(n: int, stage, widths: tuple[int, ...], taped: bool):
         for out, part in zip(outs, stage(rows)):
             out[rows] = part.data
 
-    run_blocks(n, POINT_BLOCK, run_block)
+    run_blocks(n, floor, run_block)
     return [nn.Tensor(out) for out in outs]
 
 
@@ -257,11 +265,13 @@ def forward_encoded(scene: EncodedScene, params: EmbeddingParams, clip: ClipPara
     On constant parameters, the point stream runs in row blocks of at least
     POINT_BLOCK rows, then the point classifier beside this thread's segment
     mean and max (parallel.side_by_side), then the voxel stream (up to the
-    voxel head's hidden layer) in blocks of at least POINT_BLOCK voxels.  A
-    block's GEMMs give the same bits as the same rows of the whole product;
-    4-output GEMMs do not, so the classifier and the voxel head's last layer
-    run whole.  With a tape, or on one thread, the streams run whole, and on
-    one thread everything runs on this thread.
+    voxel head's hidden layer) in blocks of at least POINT_BLOCK // 2 voxels,
+    as many bytes at 32 channels.  A block's GEMMs give the same bits as the
+    same rows of the whole product (see POINT_BLOCK); 4-output GEMMs do not,
+    so the classifier and the voxel head's last layer run whole.  With heads,
+    the point features and density are dropped once pooled and classified.
+    With a tape, or on one thread, the streams run whole, and on one thread
+    everything runs on this thread.
     """
     taped = any(p.requires_grad for p in params.parameters())
     point_feats, *density = _in_blocks(
@@ -277,6 +287,8 @@ def forward_encoded(scene: EncodedScene, params: EmbeddingParams, clip: ClipPara
         jobs.append(partial(nn.linear, point_feats, params["point_classifier.w"],
                             params["point_classifier.b"]))
     (voxel_density, pooled), *point_logits = side_by_side(*jobs)
+    if heads:  # read: with a tape, the closures keep what backward needs
+        del point_feats, density, jobs
     voxel_outs = _in_blocks(
         scene.grid.num_voxels,
         partial(_voxel_stream, scene, params, voxel_density, pooled, heads=heads),

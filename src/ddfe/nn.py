@@ -13,6 +13,7 @@ import functools
 import numpy as np
 
 from .io import check_labels
+from .parallel import ROW_BLOCK
 
 
 class _Node:
@@ -267,16 +268,25 @@ def segment_mean(x, seg, num_segments: int | None = None) -> Tensor:
     return Tensor(out, parents=(x,), backward_fn=backward)
 
 
-def _segment_cells(smap: SegmentMap, d: int) -> np.ndarray:
-    """Flat (segment, channel) cell of every entry of an (N, d) array."""
-    return (smap.point_to_segment[:, None] * d + np.arange(d)).ravel()
+def _segment_cells(smap: SegmentMap, d: int, rows: slice) -> np.ndarray:
+    """Flat (segment, channel) cell of every entry of rows `rows` of an (N, d) array."""
+    return (smap.point_to_segment[rows, None] * d + np.arange(d)).ravel()
+
+
+def _row_blocks(n: int):
+    """Rows [0, n) as consecutive slices of parallel.ROW_BLOCK rows."""
+    return (slice(start, start + ROW_BLOCK) for start in range(0, n, ROW_BLOCK))
 
 
 def segment_max(x, seg, num_segments: int | None = None) -> Tensor:
     """Per-segment column maxima of an (N, D) tensor -> (M, D).
 
     The backward pass routes each output gradient to the first point (in
-    original order) attaining the maximum in its segment and channel.
+    original order) attaining the maximum in its segment and channel.  Both
+    passes run over blocks of parallel.ROW_BLOCK rows, in row order, so no
+    temporary is larger than a block: the fold meets the entries in the same
+    order as one fold over all rows, and an integer minimum does not depend
+    on order.
     """
     x = as_tensor(x)
     x_data = x.data
@@ -284,14 +294,18 @@ def segment_max(x, seg, num_segments: int | None = None) -> Tensor:
     n, d = x_data.shape
     m = smap.num_segments
     out = np.full((m, d), -np.inf)
-    np.maximum.at(out.reshape(-1), _segment_cells(smap, d), x_data.reshape(-1))
+    for rows in _row_blocks(n):
+        np.maximum.at(out.reshape(-1), _segment_cells(smap, d, rows), x_data[rows].reshape(-1))
 
     def backward(g):
         # First attaining point: the lowest flat entry equal to its cell's
-        # maximum, searched among the attaining entries only.
-        hits = np.flatnonzero(x_data == out[smap.point_to_segment])
+        # maximum, searched among each block's attaining entries only.
         first = np.full(m * d, n * d)
-        np.minimum.at(first, _segment_cells(smap, d)[hits], hits)
+        for rows in _row_blocks(n):
+            hits = np.flatnonzero(x_data[rows] == out[smap.point_to_segment[rows]])
+            hits += rows.start * d
+            row, channel = np.divmod(hits, d)
+            np.minimum.at(first, smap.point_to_segment[row] * d + channel, hits)
         unattained = np.flatnonzero(first == n * d)  # only a NaN maximum is never attained
         if unattained.size:
             segment, channel = divmod(int(unattained[0]), d)

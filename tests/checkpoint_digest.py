@@ -35,7 +35,8 @@ or augmentation bit-identical must print the same digest as its base commit:
 The file name keeps it out of pytest's collection.  CI compares the head
 tree's line with the same tree's on one core (`taskset -c 0`, where every
 parallel site runs its serial schedule) on every push, and with the base
-tree's on each pull request.
+tree's on each pull request, under the runner's OpenBLAS kernel and under
+OPENBLAS_CORETYPE=Haswell.  The line itself depends on the kernel.
 """
 
 import os

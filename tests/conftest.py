@@ -6,6 +6,7 @@ imports this file against older source trees too, which lack some modules.
 
 import functools
 import os
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -60,6 +61,17 @@ def set_blas_threads(monkeypatch, value):
         monkeypatch.delenv(var, raising=False)
     if value is not None:
         monkeypatch.setenv("OMP_NUM_THREADS", value)
+
+
+def traced_peak(fn):
+    """(fn(), the most bytes tracemalloc saw allocated above the start while fn ran)."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def recorded_pools(monkeypatch, cores):

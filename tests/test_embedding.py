@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import recorded_pools, set_blas_threads
+from conftest import recorded_pools, set_blas_threads, traced_peak
 
 from ddfe import embedding, nn, parallel
 from ddfe.beams import DEFAULT_SIGMAS, beam_profile, density_for_cloud
@@ -178,18 +178,23 @@ def _recorded_blocks(monkeypatch):
     return blocks
 
 
-# (rows, blocks): just below and just above the block floor, two uneven blocks,
-# and a sim64 scan of about 27k points
-@pytest.mark.parametrize("rows,expected_blocks", [
-    (embedding.POINT_BLOCK - 1, 1),
-    (embedding.POINT_BLOCK + 1, 1),
-    (2 * embedding.POINT_BLOCK + 1, 2),
-    (None, 3),
+# The voxel stream's block floor: as many bytes as a point block, 32 channels wide.
+_VOXEL_BLOCK = embedding.POINT_BLOCK * embedding.POINT_CHANNELS // embedding.FUSED_CHANNELS
+
+
+# (rows, point blocks, pools): just below and just above the block floor, two
+# uneven blocks, and a sim64 scan of about 27k points; one pool per stage of
+# two blocks or more, and the last two scenes' 14-15k voxels make three blocks
+@pytest.mark.parametrize("rows,expected_blocks,expected_pools", [
+    (embedding.POINT_BLOCK - 1, 1, []),
+    (embedding.POINT_BLOCK + 1, 1, []),
+    (2 * embedding.POINT_BLOCK + 1, 2, [2, 2]),
+    (None, 3, [2, 2]),
 ])
 @pytest.mark.parametrize("use_clip", [True, False])
 @pytest.mark.parametrize("use_attention", [True, False])
 def test_blocked_forward_is_bitwise_the_reference_composition(
-        monkeypatch, rows, expected_blocks, use_clip, use_attention):
+        monkeypatch, rows, expected_blocks, expected_pools, use_clip, use_attention):
     scene, clip = _block_scene(rows), _clip() if use_clip else None
     params = _constant_params(use_attention=use_attention)
     pools = recorded_pools(monkeypatch, cores=2)
@@ -201,7 +206,8 @@ def test_blocked_forward_is_bitwise_the_reference_composition(
     assert len(blocks) == expected_blocks
     assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]] and blocks[-1][1] == n
     assert min(b - a for a, b in blocks) >= min(n, embedding.POINT_BLOCK)
-    assert pools == ([min(expected_blocks, 2)] if expected_blocks > 1 else [])
+    assert scene.grid.num_voxels // _VOXEL_BLOCK == (3 if expected_pools else 1)
+    assert pools == expected_pools
 
 
 @pytest.mark.parametrize("heads", [False, True])
@@ -242,9 +248,10 @@ def test_blocked_forward_on_more_threads_than_cores(monkeypatch):
             assert [g.data.tobytes() for g in got] == want
     finally:
         sys.setswitchinterval(interval)
-    # one pool per blocked stage and call: eight point blocks, then five voxel blocks
-    assert scene.grid.num_voxels // embedding.POINT_BLOCK == 5
-    assert pools == [8, 5] * 3
+    # one pool per blocked stage and call: eight point blocks, then ten voxel
+    # blocks on eight threads
+    assert scene.grid.num_voxels // _VOXEL_BLOCK == 10
+    assert pools == [8, 8] * 3
 
 
 @pytest.mark.parametrize("use_attention", [True, False])
@@ -271,6 +278,19 @@ def test_inference_on_a_pool_is_bitwise_inference_on_one_thread(monkeypatch, use
         monkeypatch.setattr(module, "threads", lambda: 1)
     assert run() == on_a_pool
     assert pools == per_stage
+
+
+@pytest.mark.parametrize("use_attention", [True, False])
+def test_inference_holds_blocks_not_whole_scan_temporaries(monkeypatch, use_attention):
+    # On two cores, 49,152 points and 36,320 voxels: the bound is five (N, 16)
+    # float64 arrays.  With a whole-scan cell array in the max pooling,
+    # 8,192-voxel blocks of 32 channels and the point features kept through
+    # the voxel stream, the peak was 5.5-6.9 of them; it is now 3.5-4.0.
+    scene = _block_scene(6 * embedding.POINT_BLOCK)
+    model = Model(_constant_params(use_attention=use_attention), _clip())
+    recorded_pools(monkeypatch, cores=2)
+    _, peak = traced_peak(lambda: point_predictions(scene, model))
+    assert peak < 5 * scene.offsets.shape[0] * embedding.POINT_CHANNELS * 8
 
 
 def test_threads_count_cores_where_sched_getaffinity_is_missing(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from conftest import traced_peak
 
 from ddfe import nn
 
@@ -221,10 +222,19 @@ def _segment_max_reference(x, seg, m):
     return out, owner
 
 
+# rows per block of segment_max's folds: one and three rows put block edges
+# inside every segment, the default keeps these small inputs in one block
+@pytest.mark.parametrize("block", [1, 3, nn.ROW_BLOCK])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the palette multiplies +-inf
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), m=st.integers(1, 5), d=st.integers(1, 9))
-def test_segment_max_matches_bruteforce_values_and_routing(data, m, d):
+def test_segment_max_matches_bruteforce_values_and_routing(block, data, m, d):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nn, "ROW_BLOCK", block)
+        _check_segment_max_against_bruteforce(data, m, d)
+
+
+def _check_segment_max_against_bruteforce(data, m, d):
     # every segment non-empty, points interleaved across segments
     extra = data.draw(st.lists(st.integers(0, m - 1), max_size=20))
     seg = np.array(data.draw(st.permutations(list(range(m)) + extra)))
@@ -245,6 +255,32 @@ def test_segment_max_matches_bruteforce_values_and_routing(data, m, d):
             # a sum of the routed coefficients: 0.0 + -0.0 is +0.0
             expected_grad[owner[s, c], c] = 0.0 + coeffs[s, c]
     assert grads[xt].tobytes() == expected_grad.tobytes()
+
+
+def _interleaved_segments(blocks, d, m=1000):
+    """Features of `blocks` row blocks and d channels over m segments whose
+    points are spread over every block."""
+    rng = np.random.default_rng(blocks)
+    n = blocks * nn.ROW_BLOCK
+    return rng.normal(size=(n, d)), nn.SegmentMap(rng.permutation(np.arange(n) % m), m)
+
+
+def test_segment_max_forward_holds_a_block_not_the_features():
+    # one (N, 16) int64 cell array alone would be twice the bound
+    x, segments = _interleaved_segments(4, 16)
+    _, peak = traced_peak(lambda: nn.segment_max(x, segments))
+    assert peak < x.nbytes / 2
+
+
+def test_segment_max_backward_holds_dx_and_a_block():
+    # one int64 per feature row, or one bool per feature, would exceed the bound
+    x, segments = _interleaved_segments(8, 2)
+    features = nn.Tensor(x, requires_grad=True)
+    loss = nn.tensor_sum(nn.segment_max(features, segments))
+    grads, peak = traced_peak(loss.backward)
+    block_array = nn.ROW_BLOCK * x.shape[1] * x.itemsize
+    assert grads[features].nbytes == x.nbytes
+    assert peak < x.nbytes + 2 * block_array
 
 
 def test_segment_reduce_gradients_match_finite_differences():
