@@ -283,9 +283,9 @@ def test_inference_on_a_pool_is_bitwise_inference_on_one_thread(monkeypatch, use
 @pytest.mark.parametrize("use_attention", [True, False])
 def test_inference_holds_blocks_not_whole_scan_temporaries(monkeypatch, use_attention):
     # On two cores, 49,152 points and 36,320 voxels: the bound is five (N, 16)
-    # float64 arrays.  With a whole-scan cell array in the max pooling,
-    # 8,192-voxel blocks of 32 channels and the point features kept through
-    # the voxel stream, the peak was 5.5-6.9 of them; it is now 3.5-4.0.
+    # float64 arrays, and the peak measures 3.5-4.0 of them.  A whole-scan
+    # cell array in the max pooling, 8,192-voxel blocks of 32 channels and the
+    # point features kept through the voxel stream measure 5.5-6.9.
     scene = _block_scene(6 * embedding.POINT_BLOCK)
     model = Model(_constant_params(use_attention=use_attention), _clip())
     recorded_pools(monkeypatch, cores=2)

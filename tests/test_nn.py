@@ -273,7 +273,7 @@ def test_segment_max_forward_holds_a_block_not_the_features():
 
 
 def test_segment_max_backward_holds_dx_and_a_block():
-    # one int64 per feature row, or one bool per feature, would exceed the bound
+    # an int64 per row of x, as a whole-array cell index needs, would exceed the bound
     x, segments = _interleaved_segments(8, 2)
     features = nn.Tensor(x, requires_grad=True)
     loss = nn.tensor_sum(nn.segment_max(features, segments))
