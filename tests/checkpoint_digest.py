@@ -26,6 +26,11 @@ grid `voxelize` makes of `far_cloud` at 0.2 m (tests/conftest.py: a cloud so
 wide that voxelize sorts it by np.lexsort), and `segment_max`'s values and
 routed gradient on `3 * ROW_BLOCK + 5` rows of fixed features whose segments
 straddle the row-block edges, with +-0 and +-inf ties planted across them.
+Last of all come the clouds and labels of `make_dataset(2, preset, seed=123)`
+for each sensor preset, and of `edge_scenes` (tests/conftest.py: footprints
+holding the origin, objects straddling the +x axis, an inverted box, a wall
+cut by max_range) scanned by SIM64, by 4 x 2 beams over -30..30 degrees and
+by 7 x 5 beams over -90..90 degrees.
 A change that
 claims to keep training, evaluation, prediction, the feature report, density
 or augmentation bit-identical must print the same digest as its base commit:
@@ -51,7 +56,13 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from conftest import beam_edge_cloud, far_cloud, mixed_scan, spaced_fov  # noqa: E402
+from conftest import (  # noqa: E402
+    beam_edge_cloud,
+    edge_scenes,
+    far_cloud,
+    mixed_scan,
+    spaced_fov,
+)
 from ddfe.augment import (  # noqa: E402
     AugmentConfig,
     beam_sample,
@@ -79,12 +90,14 @@ from ddfe.sensors import (  # noqa: E402
     SensorConfig,
     beam_inclinations,
 )
-from ddfe.simulate import make_dataset  # noqa: E402
+from ddfe.simulate import make_dataset, raycast_scan  # noqa: E402
 from ddfe.stats import DensityReservoir  # noqa: E402
 from ddfe.voxels import voxelize  # noqa: E402
 
 SIM64 = SensorConfig("sim64", 512, 64, -25.0, 3.0)
 SIM32 = SensorConfig("sim32", 512, 32, -25.0, 3.0)
+EDGE_SENSORS = (SIM64, SensorConfig("4x2", 4, 2, -30.0, 30.0),
+                SensorConfig("7x5", 7, 5, -90.0, 90.0))
 # sensors.MIN_BEAM_SPACING_DEG, written out so that trees without the
 # constant print the same digest.
 SPACING_FLOOR_DEG = 1e-9
@@ -189,6 +202,11 @@ def checkpoint_digest() -> str:
     grad = nn.tensor_sum(nn.multiply(pooled, nn.Tensor(coeffs))).backward()[features]
     for array in (pooled.data, grad):
         digest.update(array.tobytes())
+    scans = [scan for sensor in PRESETS.values() for scan in make_dataset(2, sensor, seed=123)]
+    scans += [raycast_scan(scene, sensor) for sensor in EDGE_SENSORS for scene in edge_scenes()]
+    for cloud, labels in scans:
+        digest.update(cloud.tobytes())
+        digest.update(labels.tobytes())
     return digest.hexdigest()
 
 

@@ -117,3 +117,30 @@ def mixed_scan() -> np.ndarray:
     cloud, _ = enhanced_mix3d(first, second, AugmentConfig(), np.random.default_rng(0))
     cloud.flags.writeable = False
     return cloud
+
+
+def edge_scenes() -> list:
+    """Hand-built scenes at the edges of the ray caster, each over a ground
+    plane: a box canopy whose footprint holds the origin and a pole around
+    the sensor; a box and two poles straddling the +x axis, with boxes on
+    the +-y axes whose top or bottom face is level with the sensor; a pole
+    whose center lies 1.005 radii from the origin; a box with lo > hi on x;
+    and a wall wider than max_range reaches."""
+    from ddfe.simulate import BUILDING, GROUND, POLE, VEHICLE, Box, Cylinder, GroundPlane, Scene
+
+    def over_ground(*prims, max_range=120.0):
+        return Scene([GroundPlane(-2.0, GROUND), *prims], max_range=max_range)
+
+    near = 0.5 * 1.005
+    return [
+        over_ground(Box((-30.0, -25.0, 0.5), (30.0, 25.0, 1.5), BUILDING)),
+        over_ground(Cylinder((0.2, -0.1), 0.6, -1.0, 0.5, POLE)),
+        over_ground(Box((8.0, -1.5, -2.0), (11.0, 2.0, -1.0), VEHICLE),
+                    Cylinder((14.0, 0.05), 0.4, -2.0, -0.5, POLE),
+                    Cylinder((18.0, -0.01), 0.3, -2.0, 4.0, POLE),
+                    Box((-1.0, 9.0, -2.0), (1.0, 12.0, 0.0), VEHICLE),
+                    Box((-1.0, -12.0, 0.0), (1.0, -9.0, 2.0), BUILDING)),
+        over_ground(Cylinder((near * np.cos(2.0), near * np.sin(2.0)), 0.5, -2.0, 1.0, POLE),
+                    Box((12.0, 3.0, -2.0), (9.0, 9.0, 1.0), VEHICLE)),
+        over_ground(Box((30.0, -60.0, -6.0), (30.5, 60.0, 4.0), BUILDING), max_range=40.0),
+    ]
