@@ -13,12 +13,13 @@ above ground.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io import check_count
-from .sensors import SensorConfig, beam_inclinations
+from .io import check_count, check_positive, check_real
+from .sensors import TWO_PI, SensorConfig, beam_inclinations
 
 # Class table for generated scenes.
 GROUND, BUILDING, VEHICLE, POLE = 0, 1, 2, 3
@@ -33,9 +34,14 @@ class GroundPlane:
     z: float
     label: int
 
+    footprint = None   # no xy disc bounds a plane: every beam column reaches it
+
+    def __post_init__(self):
+        check_real("GroundPlane.z", self.z)
+
     def intersect(self, dirs: np.ndarray) -> np.ndarray:
         dz = dirs[:, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = np.where(dz != 0.0, self.z / dz, np.inf)
         return np.where(t > 0.0, t, np.inf)
 
@@ -48,19 +54,31 @@ class Box:
     hi: tuple[float, float, float]
     label: int
 
+    def __post_init__(self):
+        for name in ("lo", "hi"):
+            for k, value in enumerate(getattr(self, name)):
+                check_real(f"Box.{name}[{k}]", value)
+
+    @property
+    def footprint(self) -> tuple[tuple[float, float], float]:
+        """((x, y), radius) of a disc holding the box's xy extent."""
+        (x0, y0, _), (x1, y1, _) = self.lo, self.hi
+        return (0.5 * x0 + 0.5 * x1, 0.5 * y0 + 0.5 * y1), 0.5 * math.hypot(x1 - x0, y1 - y0)
+
     def intersect(self, dirs: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.lo, dtype=np.float64)
-        hi = np.asarray(self.hi, dtype=np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / dirs
-            t1 = lo[None, :] * inv
-            t2 = hi[None, :] * inv
-        # NaN only when a bound is exactly 0 and the ray runs parallel to it:
-        # the origin then sits on the slab face, i.e. the slab is unconstraining.
-        t1 = np.where(np.isnan(t1), -np.inf, t1)
-        t2 = np.where(np.isnan(t2), np.inf, t2)
-        tnear = np.minimum(t1, t2).max(axis=1)
-        tfar = np.maximum(t1, t2).min(axis=1)
+        # Slab test one axis at a time, folded in x, y, z order: no (N, 3) reductions.
+        tnear, tfar = -np.inf, np.inf
+        for axis, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                inv = 1.0 / dirs[:, axis]
+                t1 = lo * inv
+                t2 = hi * inv
+            # NaN only when a bound is exactly 0 and the ray runs parallel to it:
+            # the origin then sits on the slab face, i.e. the slab is unconstraining.
+            t1 = np.where(np.isnan(t1), -np.inf, t1)
+            t2 = np.where(np.isnan(t2), np.inf, t2)
+            tnear = np.maximum(tnear, np.minimum(t1, t2))
+            tfar = np.minimum(tfar, np.maximum(t1, t2))
         hit = (tfar >= tnear) & (tnear > 0.0)
         return np.where(hit, tnear, np.inf)
 
@@ -75,6 +93,18 @@ class Cylinder:
     z_hi: float
     label: int
 
+    def __post_init__(self):
+        for k, value in enumerate(self.center_xy):
+            check_real(f"Cylinder.center_xy[{k}]", value)
+        check_positive("Cylinder.radius", self.radius)
+        check_real("Cylinder.z_lo", self.z_lo)
+        check_real("Cylinder.z_hi", self.z_hi)
+
+    @property
+    def footprint(self) -> tuple[tuple[float, float], float]:
+        """((x, y), radius) of the cylinder's xy disc."""
+        return self.center_xy, self.radius
+
     def intersect(self, dirs: np.ndarray) -> np.ndarray:
         cx, cy = self.center_xy
         dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
@@ -85,7 +115,7 @@ class Cylinder:
         solvable = (disc >= 0.0) & (a > 0.0)
         sq = np.sqrt(np.where(solvable, disc, 0.0))
         best = np.full(dirs.shape[0], np.inf)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for sign in (-1.0, 1.0):
                 t = np.where(solvable, (-b + sign * sq) / (2.0 * a), np.inf)
                 z = t * dz
@@ -140,23 +170,61 @@ def ray_directions(config: SensorConfig) -> np.ndarray:
     return dirs.reshape(-1, 3)
 
 
+def _reachable_columns(footprint, h_beams: int):
+    """The horizontal beam columns whose rays can meet a primitive with this
+    xy footprint disc ((x, y), radius), as an index for axis 1 of a
+    (v_beams, h_beams) grid.
+
+    A ray's hit lies on its own azimuth, so only columns within
+    asin(radius / distance) of the disc's direction can hit; two beams of
+    margin on each side absorb rounding.  Column c has azimuth
+    2*pi*(c + 1)/h_beams, so the window wraps at the +x axis (c = h_beams - 1).
+    Every column is taken when there is no disc, when the disc (nearly)
+    holds the origin, or when the window spans half a turn.
+    """
+    if footprint is None:
+        return slice(None)
+    (x, y), radius = footprint
+    distance = math.hypot(x, y)
+    if distance <= 1.01 * radius:
+        return slice(None)
+    half_width = math.asin(radius / distance)
+    direction = math.atan2(y, x)
+    first = math.ceil((direction - half_width) * h_beams / TWO_PI) - 2
+    last = math.floor((direction + half_width) * h_beams / TWO_PI) + 2
+    if 2 * (last - first + 1) >= h_beams:
+        return slice(None)
+    return np.arange(first - 1, last) % h_beams
+
+
 def raycast_scan(scene: Scene, config: SensorConfig) -> tuple[np.ndarray, np.ndarray]:
     """Scan a scene; returns (cloud (N, 3), labels (N,)).
 
     Rays that hit nothing produce no point.  Output order is deterministic:
-    vertical beam index outer, horizontal inner.
+    vertical beam index outer, horizontal inner.  Each primitive is tested
+    only on the beam columns that can reach it (_reachable_columns); a ray
+    takes the nearest hit, the earlier primitive on a tie.
     """
     if not scene.primitives:
         raise ValueError("scene has no primitives")
+    max_range = check_positive("Scene.max_range", scene.max_range)
     dirs = ray_directions(config)
-    ts = np.stack([prim.intersect(dirs) for prim in scene.primitives])
-    nearest = ts.argmin(axis=0)
-    t = ts[nearest, np.arange(dirs.shape[0])]
-    valid = np.isfinite(t) & (t <= scene.max_range)
-    t, dirs_hit = t[valid], dirs[valid]
-    prim_labels = np.array([prim.label for prim in scene.primitives], dtype=np.int64)
-    labels = prim_labels[nearest[valid]]
-    return dirs_hit * t[:, None], labels
+    grid = dirs.reshape(config.v_beams, config.h_beams, 3)
+    t = np.full(grid.shape[:2], np.inf)
+    labels = np.zeros(grid.shape[:2], dtype=np.int64)
+    for prim in scene.primitives:
+        cols = _reachable_columns(prim.footprint, config.h_beams)
+        rays = grid[:, cols]
+        hit = prim.intersect(rays.reshape(-1, 3)).reshape(rays.shape[:2])
+        nearest = t[:, cols]
+        closer = hit < nearest
+        t[:, cols] = np.where(closer, hit, nearest)
+        labels[:, cols] = np.where(closer, prim.label, labels[:, cols])
+    t, labels = t.ravel(), labels.ravel()
+    valid = np.isfinite(t) & (t <= max_range)
+    cloud = dirs[valid]
+    cloud *= t[valid, None]
+    return cloud, labels[valid]
 
 
 def random_scene(rng: np.random.Generator) -> Scene:
